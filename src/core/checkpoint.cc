@@ -483,7 +483,7 @@ Result<MultiTreeMiner> MultiTreeMiner::RestoreFromCheckpointImpl(
           return Status::Corruption(
               "checkpoint tally kinship exceeds the generalized caps");
         }
-        fresh = miner.aux_tables_[0].Add(internal::PackLabelPair(a, b), aux,
+        fresh = miner.aux_tables_[0].Add({internal::PackLabelPair(a, b), aux},
                                          support, occurrences);
         break;
       }
@@ -494,7 +494,7 @@ Result<MultiTreeMiner> MultiTreeMiner::RestoreFromCheckpointImpl(
               "checkpoint tally distance out of range");
         }
         fresh = miner.aux_tables_[static_cast<size_t>(twice_distance)].Add(
-            internal::PackLabelPair(a, b), aux, support, occurrences);
+            {internal::PackLabelPair(a, b), aux}, support, occurrences);
         break;
       }
     }

@@ -113,7 +113,7 @@ namespace internal {
 const FoldKernels& ScalarKernels() {
   static const FoldKernels kScalarTable{
       SimdTier::kScalar, &AddProductScalar, &AddProductDenseScalar,
-      &NormalizeScalar, &PackItemKeysScalar};
+      &NormalizeScalar};
   return kScalarTable;
 }
 
@@ -122,7 +122,7 @@ const FoldKernels* Avx2KernelsIfSupported() {
   if (!CpuSupportsAvx2()) return nullptr;
   static const FoldKernels kAvx2Table{
       SimdTier::kAvx2, &AddProductAvx2, &AddProductDenseAvx2,
-      &NormalizeAvx2, &PackItemKeysAvx2};
+      &NormalizeAvx2};
   return &kAvx2Table;
 #else
   return nullptr;

@@ -1,11 +1,11 @@
 // Runtime SIMD dispatch for the fold kernels — one binary ships every
 // tier and picks at startup.
 //
-// The per-LCA label-multiset convolution (AddProduct), the level-set
-// Normalize, and the forest-wide tally fold are the per-occurrence
-// cost of the whole miner, so they exist in two implementations: a
-// scalar reference (bit-for-bit the pre-dispatch code) and an AVX2
-// kernel (simd_fold.cc) that packs label-pair keys four per vector.
+// The per-LCA label-multiset convolution (AddProduct) and the
+// level-set Normalize are the per-occurrence cost of the per-tree
+// miner, so they exist in two implementations: a scalar reference
+// (bit-for-bit the pre-dispatch code) and an AVX2 kernel
+// (simd_fold.cc) that packs label-pair keys four per vector.
 // The selected tier changes only the representation of the work, never
 // the answers: the hash-path kernels issue accumulator Adds in exactly
 // the scalar order (slot-identical table layouts), and the dense-tier
@@ -84,9 +84,6 @@ struct FoldKernels {
   /// differently but never the result. `buf` provides sort scratch;
   /// the scalar kernel accepts null.
   void (*normalize)(FlatCounts* counts, FoldBuffer* buf) = nullptr;
-  /// Packs PackLabelPair(label1, label2) for n items into out_keys.
-  void (*pack_item_keys)(const CousinPairItem* items, size_t n,
-                         uint64_t* out_keys) = nullptr;
 };
 
 /// Kernel table for the active tier.

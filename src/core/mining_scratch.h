@@ -36,11 +36,6 @@ using FlatCounts = std::vector<std::pair<LabelId, int64_t>>;
 /// across trees, so steady-state vector mining allocates nothing. The
 /// scalar kernels only touch the counters.
 struct FoldBuffer {
-  /// Packed item keys for the batched forest-tally fold, and their
-  /// precomputed tally-table home slots (hash moved off the fold's
-  /// Add dependency chain; see MultiTreeMiner::FoldItems).
-  std::vector<uint64_t> keys;
-  std::vector<uint64_t> slots;
   /// Sort-key scratch for the vector Normalize.
   std::vector<uint64_t> sort_keys;
   std::vector<std::pair<LabelId, int64_t>> tmp_counts;

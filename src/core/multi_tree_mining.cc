@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "core/kernel_dispatch.h"
 #include "core/pair_count_map.h"
 #include "obs/governance_events.h"
 #include "obs/metrics.h"
@@ -108,7 +107,7 @@ void MultiTreeMiner::EnsureTallyCapacity() {
   sized_for_labels_ = cardinality;
   const size_t live = TallyPresizeHint(cardinality);
   for (internal::TallyMap& table : tables_) table.ReserveLive(live);
-  for (internal::WideTallyMap& table : aux_tables_) table.ReserveLive(live);
+  for (internal::AuxTallyMap& table : aux_tables_) table.ReserveLive(live);
 }
 
 void MultiTreeMiner::FoldItems(const std::vector<CousinPairItem>& items) {
@@ -126,58 +125,7 @@ void MultiTreeMiner::FoldItems(const std::vector<CousinPairItem>& items) {
   // outer loop is the distance), so prefetching a few items ahead
   // almost always targets the table currently being probed.
   constexpr size_t kPrefetchAhead = 8;
-  const internal::FoldKernels& kernels = internal::ActiveKernels();
-  if (!options_.ignore_distance &&
-      kernels.tier != SimdTier::kScalar && items.size() >= 16) {
-    // Vector tier: pack all keys up front (4 per 256-bit lane) and
-    // precompute every item's tally home slot in a second tight pass,
-    // then fold behind a deeper prefetch that pulls every SoA array of
-    // the home slot — the Add loop runs with no hash arithmetic on its
-    // load-address chain at all. Add order is the item order —
-    // identical table layout to the scalar loop. A mid-fold grow
-    // invalidates the precomputed slots for that table; the per-item
-    // capacity check recomputes them (grows are rare after presize).
-    internal::FoldBuffer& fold = scratch_.fold;
-    const size_t n = items.size();
-    fold.keys.resize(n);
-    kernels.pack_item_keys(items.data(), n, fold.keys.data());
-    fold.slots.resize(n);
-    constexpr size_t kMaxHintedTables = 64;
-    size_t caps[kMaxHintedTables] = {0};
-    const bool hinted = tables_.size() <= kMaxHintedTables;
-    if (hinted) {
-      for (size_t t = 0; t < tables_.size(); ++t) {
-        caps[t] = tables_[t].capacity();
-      }
-      for (size_t i = 0; i < n; ++i) {
-        fold.slots[i] = tables_[TableIndex(items[i].twice_distance)]
-                            .HomeSlot(fold.keys[i]);
-      }
-    }
-    constexpr size_t kEntryAhead = 24;
-    for (size_t i = 0; i < n; ++i) {
-      if (i + kEntryAhead < n) {
-        const size_t ta = TableIndex(items[i + kEntryAhead].twice_distance);
-        if (hinted && tables_[ta].capacity() == caps[ta]) {
-          tables_[ta].PrefetchEntryAt(fold.slots[i + kEntryAhead]);
-        } else {
-          tables_[ta].PrefetchEntry(fold.keys[i + kEntryAhead]);
-        }
-      }
-      const size_t t = TableIndex(items[i].twice_distance);
-      size_t home;
-      if (hinted && tables_[t].capacity() == caps[t]) {
-        home = fold.slots[i];
-      } else {
-        home = tables_[t].HomeSlot(fold.keys[i]);
-      }
-      total_tallies_ +=
-          tables_[t].AddFrom(home, fold.keys[i], 1, items[i].occurrences);
-      if (hinted) caps[t] = tables_[t].capacity();
-    }
-    COUSINS_METRIC_COUNTER_ADD("accum.simd_batches",
-                               static_cast<int64_t>(n / 4));
-  } else if (!options_.ignore_distance) {
+  if (!options_.ignore_distance) {
     for (size_t i = 0; i < items.size(); ++i) {
       if (i + kPrefetchAhead < items.size()) {
         const CousinPairItem& ahead = items[i + kPrefetchAhead];
@@ -219,18 +167,19 @@ void MultiTreeMiner::FoldGeneralized(
   COUSINS_FAULT_POINT("multiminer.fold");
   EnsureTallyCapacity();
   constexpr size_t kPrefetchAhead = 8;
-  internal::WideTallyMap& table = aux_tables_[0];
+  internal::AuxTallyMap& table = aux_tables_[0];
   for (size_t i = 0; i < items.size(); ++i) {
     if (i + kPrefetchAhead < items.size()) {
       const GeneralizedPairItem& ahead = items[i + kPrefetchAhead];
-      table.PrefetchKey(PackLabelPair(ahead.label1, ahead.label2),
-                        internal::PackHV(ahead.horizontal, ahead.vertical));
+      table.PrefetchKey(
+          {PackLabelPair(ahead.label1, ahead.label2),
+           internal::PackHV(ahead.horizontal, ahead.vertical)});
     }
     const GeneralizedPairItem& item = items[i];
     total_tallies_ += table.Add(
-        PackLabelPair(item.label1, item.label2),
-        internal::PackHV(item.horizontal, item.vertical), 1,
-        item.occurrences);
+        {PackLabelPair(item.label1, item.label2),
+         internal::PackHV(item.horizontal, item.vertical)},
+        1, item.occurrences);
   }
 }
 
@@ -245,15 +194,15 @@ void MultiTreeMiner::FoldWeighted(
     if (i + kPrefetchAhead < items.size()) {
       const WeightedPairItem& ahead = items[i + kPrefetchAhead];
       aux_tables_[static_cast<size_t>(ahead.twice_distance)].PrefetchKey(
-          PackLabelPair(ahead.label1, ahead.label2),
-          internal::PackBucket(ahead.weight_bucket));
+          {PackLabelPair(ahead.label1, ahead.label2),
+           internal::PackBucket(ahead.weight_bucket)});
     }
     const WeightedPairItem& item = items[i];
     total_tallies_ +=
         aux_tables_[static_cast<size_t>(item.twice_distance)].Add(
-            PackLabelPair(item.label1, item.label2),
-            internal::PackBucket(item.weight_bucket), 1,
-            item.occurrences);
+            {PackLabelPair(item.label1, item.label2),
+             internal::PackBucket(item.weight_bucket)},
+            1, item.occurrences);
   }
 }
 
@@ -403,11 +352,11 @@ void MultiTreeMiner::MergeFrom(const MultiTreeMiner& other) {
   }
   COUSINS_CHECK(aux_tables_.size() == other.aux_tables_.size());
   for (size_t d = 0; d < aux_tables_.size(); ++d) {
-    internal::WideTallyMap& mine = aux_tables_[d];
-    other.aux_tables_[d].ForEach([&](uint64_t key, uint32_t aux,
-                                     int32_t support, int64_t occurrences) {
-      total_tallies_ += mine.Add(key, aux, support, occurrences);
-    });
+    internal::AuxTallyMap& mine = aux_tables_[d];
+    other.aux_tables_[d].ForEach(
+        [&](internal::AuxKey key, int32_t support, int64_t occurrences) {
+          total_tallies_ += mine.Add(key, support, occurrences);
+        });
   }
 }
 
@@ -433,11 +382,11 @@ void MultiTreeMiner::SubtractFrom(const MultiTreeMiner& other) {
   }
   COUSINS_CHECK(aux_tables_.size() == other.aux_tables_.size());
   for (size_t d = 0; d < aux_tables_.size(); ++d) {
-    internal::WideTallyMap& mine = aux_tables_[d];
-    other.aux_tables_[d].ForEach([&](uint64_t key, uint32_t aux,
-                                     int32_t support, int64_t occurrences) {
-      total_tallies_ += mine.Subtract(key, aux, support, occurrences);
-    });
+    internal::AuxTallyMap& mine = aux_tables_[d];
+    other.aux_tables_[d].ForEach(
+        [&](internal::AuxKey key, int32_t support, int64_t occurrences) {
+          total_tallies_ += mine.Subtract(key, support, occurrences);
+        });
   }
 }
 
@@ -448,7 +397,7 @@ MultiTreeMiner::AccumulatorStats MultiTreeMiner::accumulator_stats()
     stats.tally_grows += t.stats().grows;
     stats.tally_probes += t.stats().probes;
   }
-  for (const internal::WideTallyMap& t : aux_tables_) {
+  for (const internal::AuxTallyMap& t : aux_tables_) {
     stats.tally_grows += t.stats().grows;
     stats.tally_probes += t.stats().probes;
   }
@@ -508,12 +457,13 @@ std::vector<FrequentGeneralizedPair> MultiTreeMiner::AllGeneralizedTallies()
   std::vector<FrequentGeneralizedPair> out;
   if (aux_tables_.empty()) return out;
   out.reserve(static_cast<size_t>(total_tallies_));
-  aux_tables_[0].ForEach([&](uint64_t key, uint32_t aux, int32_t support,
-                             int64_t occurrences) {
-    out.push_back(FrequentGeneralizedPair{
-        UnpackFirst(key), UnpackSecond(key), internal::UnpackH(aux),
-        internal::UnpackV(aux), support, occurrences});
-  });
+  aux_tables_[0].ForEach(
+      [&](internal::AuxKey key, int32_t support, int64_t occurrences) {
+        out.push_back(FrequentGeneralizedPair{
+            UnpackFirst(key.pair), UnpackSecond(key.pair),
+            internal::UnpackH(key.aux), internal::UnpackV(key.aux), support,
+            occurrences});
+      });
   std::sort(out.begin(), out.end(),
             [](const FrequentGeneralizedPair& a,
                const FrequentGeneralizedPair& b) {
@@ -544,12 +494,12 @@ std::vector<FrequentWeightedPair> MultiTreeMiner::AllWeightedTallies() const {
   out.reserve(static_cast<size_t>(total_tallies_));
   for (size_t d = 0; d < aux_tables_.size(); ++d) {
     const int twice_distance = static_cast<int>(d);
-    aux_tables_[d].ForEach([&](uint64_t key, uint32_t aux, int32_t support,
-                               int64_t occurrences) {
-      out.push_back(FrequentWeightedPair{
-          UnpackFirst(key), UnpackSecond(key), twice_distance,
-          internal::UnpackBucket(aux), support, occurrences});
-    });
+    aux_tables_[d].ForEach(
+        [&](internal::AuxKey key, int32_t support, int64_t occurrences) {
+          out.push_back(FrequentWeightedPair{
+              UnpackFirst(key.pair), UnpackSecond(key.pair), twice_distance,
+              internal::UnpackBucket(key.aux), support, occurrences});
+        });
   }
   std::sort(out.begin(), out.end(),
             [](const FrequentWeightedPair& a, const FrequentWeightedPair& b) {

@@ -283,7 +283,7 @@ class MultiTreeMiner {
   /// Aux-keyed support tables for the generalized variant (one table,
   /// aux = packed (h, v)) and the weighted variant (one table per
   /// twice-distance, aux = bucket). Empty for the other variants.
-  std::vector<internal::WideTallyMap> aux_tables_;
+  std::vector<internal::AuxTallyMap> aux_tables_;
   /// Live tallies across all tables (== the old tallies_.size()).
   int64_t total_tallies_ = 0;
   /// Label cardinality the tables were last presized for.

@@ -14,7 +14,6 @@
 #include "tree/label_table.h"
 #include "util/check.h"
 #include "util/fault_injection.h"
-#include "util/hugepage.h"
 #include "util/overflow.h"
 
 namespace cousins {
@@ -154,12 +153,6 @@ class PairCountMap {
     std::vector<int64_t> old_values = std::move(values_);
     keys_.assign(capacity, kEmpty);
     values_.assign(capacity, 0);
-    // Hint huge-page backing for large accumulators (policy-gated,
-    // no-op below the threshold) — the probe stream is a dTLB-miss
-    // stream on 4 KiB pages.
-    size_t advised = AdviseHugePages(keys_.data(), capacity * sizeof(uint64_t));
-    advised += AdviseHugePages(values_.data(), capacity * sizeof(int64_t));
-    if (advised != 0) COUSINS_METRIC_COUNTER_ADD("mem.thp_bytes", advised);
     mask_ = capacity - 1;
     size_ = 0;
     for (size_t i = 0; i < old_keys.size(); ++i) {

@@ -19,7 +19,6 @@
 #include "util/fault_injection.h"
 #include "util/retry.h"
 #include "util/stopwatch.h"
-#include "util/topology.h"
 
 namespace cousins {
 namespace {
@@ -179,17 +178,6 @@ Result<BatchOutcome> MineBatchGoverned(const std::vector<Tree>& trees,
   // worker's own deque is a monotone subsequence of the batch and the
   // no-stealing configuration is a deterministic static partition.
   const ShardSchedulerOptions& sched = degraded.scheduler;
-  // Worker -> socket map for NUMA-aware stealing and the per-socket
-  // shard merge. On a single socket (or with the knob off) every
-  // worker maps to socket 0 and both paths reduce to the flat
-  // behavior, byte for byte.
-  std::vector<int32_t> worker_socket(workers, 0);
-  if (sched.numa_aware) {
-    const CpuTopology& topology = CpuTopology::Detect();
-    for (int32_t w = 0; w < workers; ++w) {
-      worker_socket[w] = SocketForWorker(topology, w, workers);
-    }
-  }
   const size_t chunk_size = ChunkSize(sched, end - begin, workers);
   std::vector<ChunkDeque> deques(workers);
   {
@@ -245,7 +233,6 @@ Result<BatchOutcome> MineBatchGoverned(const std::vector<Tree>& trees,
             // tallies merge commutatively and outputs are canonically
             // sorted.
             int64_t steals = 0;
-            int64_t remote_steals = 0;
             int64_t idle_ns = 0;
             for (;;) {
               Chunk chunk;
@@ -253,32 +240,19 @@ Result<BatchOutcome> MineBatchGoverned(const std::vector<Tree>& trees,
                 if (!sched.work_stealing || workers <= 1) break;
                 Stopwatch idle_sw;
                 size_t got = 0;
-                bool remote = false;
                 const int32_t first_victim = static_cast<int32_t>(
                     MixSeed(sched.steal_seed ^
                             static_cast<uint64_t>(w)) %
                     static_cast<uint64_t>(workers));
-                // Pass 0 walks same-socket victims only; pass 1 the
-                // remote ones. Both walk the same seed-derived cycle,
-                // so on one socket this is exactly the flat order and
-                // steal patterns stay replayable under a fixed seed.
-                for (int pass = 0; pass < 2 && got == 0; ++pass) {
-                  for (int32_t step = 0; step < workers && got == 0;
-                       ++step) {
-                    const int32_t victim = (first_victim + step) % workers;
-                    if (victim == w) continue;
-                    const bool same_socket =
-                        worker_socket[victim] == worker_socket[w];
-                    if (same_socket != (pass == 0)) continue;
-                    got = deques[victim].StealHalfInto(&deques[w]);
-                    remote = !same_socket;
-                  }
+                for (int32_t step = 0; step < workers && got == 0; ++step) {
+                  const int32_t victim = (first_victim + step) % workers;
+                  if (victim == w) continue;
+                  got = deques[victim].StealHalfInto(&deques[w]);
                 }
                 idle_ns +=
                     static_cast<int64_t>(idle_sw.ElapsedSeconds() * 1e9);
                 if (got == 0) break;  // every deque is dry: batch done
                 ++steals;
-                if (remote) ++remote_steals;
                 continue;
               }
               for (size_t i = chunk.begin; i < chunk.end; ++i) {
@@ -292,7 +266,6 @@ Result<BatchOutcome> MineBatchGoverned(const std::vector<Tree>& trees,
               if (!st.ok()) break;
             }
             obs::RecordSchedSteals(steals);
-            obs::RecordSchedRemoteSteals(remote_steals);
             obs::RecordSchedIdleNs(idle_ns);
           }
         } catch (const std::exception& e) {
@@ -435,47 +408,9 @@ Result<BatchOutcome> MineBatchGoverned(const std::vector<Tree>& trees,
   // shards — including tripped ones — yields a well-formed tally.
   // MergeFrom can throw at the multiminer.merge fault site; contain it
   // like a worker fault.
-  //
-  // With workers on several sockets, merge hierarchically: each
-  // socket's shards fold into that socket's first shard (all traffic
-  // socket-local), then only the per-socket leaders cross the
-  // interconnect. Saturating adds of non-negative deltas are
-  // associative, so the grouping cannot change any tally; the merge
-  // count stays exactly one MergeFrom per shard. A single socket group
-  // takes the flat loop unchanged.
   try {
-    int32_t socket_groups = 0;
-    for (int32_t w = 0; w < workers; ++w) {
-      bool first_of_socket = true;
-      for (int32_t v = 0; v < w; ++v) {
-        if (worker_socket[v] == worker_socket[w]) {
-          first_of_socket = false;
-          break;
-        }
-      }
-      if (first_of_socket) ++socket_groups;
-    }
-    if (socket_groups > 1) {
-      std::vector<int32_t> leaders;
-      for (int32_t w = 0; w < workers; ++w) {
-        int32_t leader = -1;
-        for (int32_t l : leaders) {
-          if (worker_socket[l] == worker_socket[w]) {
-            leader = l;
-            break;
-          }
-        }
-        if (leader < 0) {
-          leaders.push_back(w);
-        } else {
-          shards[leader].MergeFrom(shards[w]);
-        }
-      }
-      for (int32_t l : leaders) outcome.partial.MergeFrom(shards[l]);
-    } else {
-      for (const MultiTreeMiner& shard : shards) {
-        outcome.partial.MergeFrom(shard);
-      }
+    for (const MultiTreeMiner& shard : shards) {
+      outcome.partial.MergeFrom(shard);
     }
   } catch (const std::exception& e) {
     obs::RecordWorkerFault();

@@ -124,10 +124,6 @@ struct ShardSchedulerOptions {
   /// Seed of the per-worker victim visit order, so a hung run's steal
   /// pattern can be replayed exactly.
   uint64_t steal_seed = 0x9E3779B97F4A7C15ull;
-  /// Prefer same-socket victims when stealing and merge shards
-  /// socket-by-socket (util/topology.h). No-op on single-socket
-  /// machines; off forces the flat single-socket behavior everywhere.
-  bool numa_aware = true;
 
   friend bool operator==(const ShardSchedulerOptions&,
                          const ShardSchedulerOptions&) = default;

@@ -55,13 +55,6 @@ void NormalizeScalar(FlatCounts* counts, FoldBuffer* /*buf*/) {
   counts->resize(out);
 }
 
-void PackItemKeysScalar(const CousinPairItem* items, size_t n,
-                        uint64_t* out_keys) {
-  for (size_t i = 0; i < n; ++i) {
-    out_keys[i] = PackLabelPair(items[i].label1, items[i].label2);
-  }
-}
-
 void FlushUnitAdds(PairCountMap* acc, const uint64_t* keys, size_t n) {
   constexpr size_t kAhead = 12;
   for (size_t i = 0; i < n; ++i) {
@@ -76,11 +69,8 @@ bool Avx2KernelsCompiled() { return COUSINS_SIMD_AVX2_COMPILED != 0; }
 
 // FlatCounts entries are pair<LabelId, int64_t>: label in the low
 // dword of qword 0, count in qword 1. The vector loads below depend on
-// that exact layout, as does the item-key gather.
+// that exact layout.
 static_assert(sizeof(std::pair<LabelId, int64_t>) == 16);
-static_assert(sizeof(CousinPairItem) == 24);
-static_assert(offsetof(CousinPairItem, label1) == 0);
-static_assert(offsetof(CousinPairItem, label2) == 4);
 
 namespace {
 
@@ -321,30 +311,6 @@ __attribute__((target("avx2"))) void NormalizeAvx2(FlatCounts* counts,
     c[out++] = {static_cast<LabelId>(label), total};
   }
   counts->resize(out);
-}
-
-__attribute__((target("avx2"))) void PackItemKeysAvx2(
-    const CousinPairItem* items, size_t n, uint64_t* out_keys) {
-  // Qword 0 of each 24-byte item is (label2 << 32) | label1; gather it
-  // for 4 items per step (qword indices 0, 3, 6, 9, ...) and repack
-  // canonically.
-  const long long* base = reinterpret_cast<const long long*>(items);
-  const __m256i mask32 = _mm256_set1_epi64x(0xFFFFFFFFll);
-  const size_t n4 = n & ~size_t{3};
-  __m128i idx = _mm_setr_epi32(0, 3, 6, 9);
-  const __m128i step = _mm_set1_epi32(12);
-  size_t i = 0;
-  for (; i < n4; i += 4) {
-    const __m256i q = _mm256_i32gather_epi64(base, idx, 8);
-    idx = _mm_add_epi32(idx, step);
-    const __m256i l1 = _mm256_and_si256(q, mask32);
-    const __m256i l2 = _mm256_srli_epi64(q, 32);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out_keys + i),
-                        PackKeys4(l1, l2));
-  }
-  for (; i < n; ++i) {
-    out_keys[i] = PackLabelPair(items[i].label1, items[i].label2);
-  }
 }
 
 #endif  // COUSINS_SIMD_AVX2_COMPILED

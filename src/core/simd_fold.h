@@ -1,7 +1,7 @@
 // Fold-kernel implementations behind the runtime SIMD dispatch
 // (kernel_dispatch.h): the scalar reference kernels and, on x86-64
-// builds, AVX2 kernels for the inclusion–exclusion cross product, the
-// level-set Normalize, and item-key packing.
+// builds, AVX2 kernels for the inclusion–exclusion cross product and
+// the level-set Normalize.
 //
 // Contract shared by every tier: accumulator Add calls are issued in
 // the scalar (x-outer, y-inner) order, so the open-addressing tables
@@ -52,11 +52,6 @@ void AddProductDenseScalar(const FlatCounts& a, const FlatCounts& b,
 /// Ignores `buf` (may be null).
 void NormalizeScalar(FlatCounts* counts, FoldBuffer* buf);
 
-/// Packs PackLabelPair(items[i].label1, items[i].label2) into
-/// out_keys[i] for i in [0, n).
-void PackItemKeysScalar(const CousinPairItem* items, size_t n,
-                        uint64_t* out_keys);
-
 /// Drains pre-packed keys into the accumulator with delta 1, in array
 /// order, behind the same grouped prefetch as the vector product
 /// kernel. Tier-independent helper for batched flushes of pre-ordered
@@ -89,10 +84,6 @@ void AddProductDenseAvx2(const FlatCounts& a, const FlatCounts& b,
 /// 8-byte key sort replaces the 16-byte pair sort, and small inputs
 /// take a branch-light insertion sort. Output identical to scalar.
 void NormalizeAvx2(FlatCounts* counts, FoldBuffer* buf);
-
-/// 4-wide item-key packing via qword shuffles over the item array.
-void PackItemKeysAvx2(const CousinPairItem* items, size_t n,
-                      uint64_t* out_keys);
 
 #else
 #define COUSINS_SIMD_AVX2_COMPILED 0

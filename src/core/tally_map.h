@@ -4,16 +4,25 @@
 // mined item into: a node map pays a heap allocation per distinct pair
 // plus a pointer chase per fold, while this open-addressing table keeps
 // keys, supports and occurrence counts in three parallel flat arrays
-// (structure-of-arrays), so the probe stream touches one dense uint64
+// (structure-of-arrays), so the probe stream touches one dense key
 // array and the counters it updates stay on their own cache lines.
 //
 // Keys are packed label pairs (PackLabelPair in pair_count_map.h):
 // labels are interned into dense uint32 ids forest-wide, so a canonical
 // unordered pair fits one uint64 and hashing is a single integer mix —
 // no string or struct hashing anywhere in the fold. The cousin distance
-// is NOT part of the key: the miner keeps one TallyMap per distance
-// value (distances are small integers bounded by twice_maxdist), which
-// keeps the key dense and makes per-distance iteration free.
+// is NOT part of the key: the miner keeps one table per distance value
+// (distances are small integers bounded by twice_maxdist), which keeps
+// the key dense and makes per-distance iteration free.
+//
+// One class template serves every forest tally. TallyMap keys on the
+// packed pair alone (cousin and free-tree variants); AuxTallyMap keys
+// on the pair plus a 32-bit aux word, for the variants whose item
+// identity does not fit (table, label pair): the generalized miner
+// packs (h, v) into the aux word, the weighted miner its weight bucket.
+// The aux word is mixed into the probe hash so entries sharing a label
+// pair but differing in kinship/bucket spread apart; for the pair-only
+// key the aux term is a constant zero and compiles away.
 
 #ifndef COUSINS_CORE_TALLY_MAP_H_
 #define COUSINS_CORE_TALLY_MAP_H_
@@ -24,35 +33,49 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "util/hugepage.h"
 #include "util/overflow.h"
 
 namespace cousins {
 namespace internal {
 
-/// packed-label-pair -> (support, total_occurrences) with linear
-/// probing over power-of-two capacity. Counted deletion (Subtract, the
-/// RETRACT primitive of the resident daemon) can leave zero-net slots
-/// behind: they keep occupying their probe slot (erasing from a
-/// linear-probe chain would break lookups for keys probing past them)
-/// but are invisible to ForEach/live() and are purged on the next
-/// rehash, exactly the PairCountMap discipline — growth only doubles
-/// capacity when the *live* entries genuinely crowd the table, so a
-/// subtract-heavy workload cannot ratchet capacity upward.
-class TallyMap {
+/// (packed label pair, aux word) composite key of AuxTallyMap.
+struct AuxKey {
+  uint64_t pair = 0;
+  uint32_t aux = 0;
+  friend bool operator==(const AuxKey&, const AuxKey&) = default;
+};
+
+/// Cumulative accounting of hash-table work. `grows` counts
+/// load-factor-triggered rehashes and is maintained unconditionally
+/// (it backs a regression test that presizing makes growth a no-op
+/// on forest workloads); `probes` is telemetry-only.
+struct TallyStats {
+  int64_t probes = 0;  // slots inspected across all Add calls
+  int64_t grows = 0;   // reactive (load-factor) rehashes
+};
+
+/// key -> (support, total_occurrences) with linear probing over
+/// power-of-two capacity. `Key` is uint64_t (packed label pair) or
+/// AuxKey. Counted deletion (Subtract, the RETRACT primitive of the
+/// resident daemon) can leave zero-net slots behind: they keep
+/// occupying their probe slot (erasing from a linear-probe chain would
+/// break lookups for keys probing past them) but are invisible to
+/// ForEach/live() and are purged on the next rehash, exactly the
+/// PairCountMap discipline — growth only doubles capacity when the
+/// *live* entries genuinely crowd the table, so a subtract-heavy
+/// workload cannot ratchet capacity upward.
+template <typename Key>
+class TallyTable {
  public:
-  /// Cumulative accounting of hash-table work. `grows` counts
-  /// load-factor-triggered rehashes and is maintained unconditionally
-  /// (it backs a regression test that presizing makes growth a no-op
-  /// on forest workloads); `probes` is telemetry-only.
-  struct Stats {
-    int64_t probes = 0;  // slots inspected across all Add calls
-    int64_t grows = 0;   // reactive (load-factor) rehashes
-  };
+  using Stats = TallyStats;
+
+  /// Bytes one slot occupies across the SoA arrays (memory budgets).
+  static constexpr size_t kSlotBytes =
+      sizeof(Key) + sizeof(int32_t) + sizeof(int64_t);
 
   /// Default construction allocates nothing; the table materializes on
   /// the first Add or ReserveLive.
-  TallyMap() = default;
+  TallyTable() = default;
 
   /// Ensures capacity for `live` entries without a reactive grow:
   /// capacity becomes the smallest power of two keeping the load
@@ -71,54 +94,11 @@ class TallyMap {
   /// (or a zero-net slot was revived), 0 otherwise — callers keep
   /// their live-tally accounting by summing the return values of Add
   /// and Subtract.
-  int Add(uint64_t key, int32_t support_delta, int64_t occ_delta) {
+  int Add(Key key, int32_t support_delta, int64_t occ_delta) {
     if (keys_.empty()) Rehash(kMinCapacity);
     COUSINS_METRICS_ONLY(++stats_.probes;)
     size_t i = Slot(key);
-    while (keys_[i] != kEmpty) {
-      if (keys_[i] == key) {
-        const bool was_dead = supports_[i] == 0 && occurrences_[i] == 0;
-        supports_[i] = SaturatingAddInt(supports_[i], support_delta);
-        occurrences_[i] = SaturatingAdd(occurrences_[i], occ_delta);
-        if (was_dead && !(supports_[i] == 0 && occurrences_[i] == 0)) {
-          ++live_;
-          return 1;
-        }
-        return 0;
-      }
-      COUSINS_METRICS_ONLY(++stats_.probes;)
-      i = (i + 1) & mask_;
-    }
-    keys_[i] = key;
-    supports_[i] = support_delta;
-    occurrences_[i] = occ_delta;
-    const int delta = (support_delta == 0 && occ_delta == 0) ? 0 : 1;
-    live_ += delta;
-    if (++size_ * 10 >= keys_.size() * 7) Grow();
-    return delta;
-  }
-
-  /// Home (probe-start) slot for `key` at the current capacity; 0 when
-  /// the table is unallocated. Stale after any rehash — callers that
-  /// precompute home slots must recheck capacity() before using them.
-  size_t HomeSlot(uint64_t key) const {
-    return keys_.empty() ? 0 : Slot(key);
-  }
-
-  /// Add whose probe starts at `home`, which MUST equal HomeSlot(key)
-  /// at the current capacity. The batched fold precomputes home slots
-  /// in a separate pass so the hash arithmetic stays off the Add
-  /// load-address dependency chain; probe sequence, table layout and
-  /// live accounting are exactly Add's.
-  int AddFrom(size_t home, uint64_t key, int32_t support_delta,
-              int64_t occ_delta) {
-    if (keys_.empty()) {
-      Rehash(kMinCapacity);
-      home = Slot(key);
-    }
-    COUSINS_METRICS_ONLY(++stats_.probes;)
-    size_t i = home;
-    while (keys_[i] != kEmpty) {
+    while (PairOf(keys_[i]) != kEmpty) {
       if (keys_[i] == key) {
         const bool was_dead = supports_[i] == 0 && occurrences_[i] == 0;
         supports_[i] = SaturatingAddInt(supports_[i], support_delta);
@@ -146,11 +126,11 @@ class TallyMap {
   /// more than was ever added cannot wrap into negative support). A key
   /// that was never added is a no-op. Returns the live-entry delta:
   /// -1 when the entry netted out to zero on this call, 0 otherwise.
-  int Subtract(uint64_t key, int32_t support_delta, int64_t occ_delta) {
+  int Subtract(Key key, int32_t support_delta, int64_t occ_delta) {
     if (keys_.empty()) return 0;
     COUSINS_METRICS_ONLY(++stats_.probes;)
     size_t i = Slot(key);
-    while (keys_[i] != kEmpty) {
+    while (PairOf(keys_[i]) != kEmpty) {
       if (keys_[i] == key) {
         const bool was_dead = supports_[i] == 0 && occurrences_[i] == 0;
         const int64_t s =
@@ -173,36 +153,20 @@ class TallyMap {
   /// Issues a software prefetch for `key`'s home slot so a later Add
   /// finds the probe line resident. The fold loop runs this a few
   /// items ahead of the item it is folding.
-  void PrefetchKey(uint64_t key) const {
+  void PrefetchKey(Key key) const {
     if (keys_.empty()) return;
 #if defined(__GNUC__) || defined(__clang__)
     __builtin_prefetch(&keys_[Slot(key)], 1 /*write*/, 1);
 #endif
   }
 
-  /// Like PrefetchKey, but pulls all three SoA arrays' lines for the
-  /// home slot — the batched fold path knows it will write the support
-  /// and occurrence words too, and at a deeper lookahead there is time
-  /// to overlap all three misses instead of just the key probe.
-  void PrefetchEntry(uint64_t key) const {
-    if (keys_.empty()) return;
-#if defined(__GNUC__) || defined(__clang__)
-    const size_t i = Slot(key);
-    __builtin_prefetch(&keys_[i], 1 /*write*/, 1);
-    __builtin_prefetch(&supports_[i], 1 /*write*/, 1);
-    __builtin_prefetch(&occurrences_[i], 1 /*write*/, 1);
-#endif
-  }
-
-  /// Like PrefetchEntry with the home slot already in hand (see
-  /// HomeSlot) — no hash on the prefetch path either.
-  void PrefetchEntryAt(size_t i) const {
-    if (keys_.empty()) return;
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(&keys_[i], 1 /*write*/, 1);
-    __builtin_prefetch(&supports_[i], 1 /*write*/, 1);
-    __builtin_prefetch(&occurrences_[i], 1 /*write*/, 1);
-#endif
+  /// Empties the table keeping its capacity — the per-tree variant
+  /// scratch is cleared between trees so steady-state mining stays
+  /// allocation-free (mirrors PairCountMap::Clear).
+  void Clear() {
+    size_ = 0;
+    live_ = 0;
+    keys_.assign(keys_.size(), Key{kEmpty});
   }
 
   /// Number of occupied slots, including zero-net ones awaiting purge
@@ -222,18 +186,24 @@ class TallyMap {
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     for (size_t i = 0; i < keys_.size(); ++i) {
-      if (keys_[i] == kEmpty) continue;
+      if (PairOf(keys_[i]) == kEmpty) continue;
       if (supports_[i] == 0 && occurrences_[i] == 0) continue;
       fn(keys_[i], supports_[i], occurrences_[i]);
     }
   }
 
  private:
+  /// Empty-slot marker in the pair word (never a valid packed pair).
   static constexpr uint64_t kEmpty = ~uint64_t{0};
   static constexpr size_t kMinCapacity = 64;
 
-  size_t Slot(uint64_t key) const {
-    uint64_t h = key;
+  static uint64_t PairOf(uint64_t key) { return key; }
+  static uint64_t PairOf(const AuxKey& key) { return key.pair; }
+  static uint32_t AuxOf(uint64_t /*key*/) { return 0; }
+  static uint32_t AuxOf(const AuxKey& key) { return key.aux; }
+
+  size_t Slot(Key key) const {
+    uint64_t h = PairOf(key) ^ (static_cast<uint64_t>(AuxOf(key)) << 16);
     h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ULL;
     h = (h ^ (h >> 27)) * 0x94D049BB133111EBULL;
     return static_cast<size_t>(h ^ (h >> 31)) & mask_;
@@ -249,27 +219,19 @@ class TallyMap {
   }
 
   void Rehash(size_t capacity) {
-    std::vector<uint64_t> old_keys = std::move(keys_);
+    std::vector<Key> old_keys = std::move(keys_);
     std::vector<int32_t> old_supports = std::move(supports_);
     std::vector<int64_t> old_occurrences = std::move(occurrences_);
-    keys_.assign(capacity, kEmpty);
+    keys_.assign(capacity, Key{kEmpty});
     supports_.assign(capacity, 0);
     occurrences_.assign(capacity, 0);
-    // Hint huge-page backing for large tally arrays (policy-gated,
-    // no-op below the threshold): random probes over 4 KiB pages make
-    // every fold a likely dTLB miss.
-    size_t advised = AdviseHugePages(keys_.data(), capacity * sizeof(uint64_t));
-    advised += AdviseHugePages(supports_.data(), capacity * sizeof(int32_t));
-    advised +=
-        AdviseHugePages(occurrences_.data(), capacity * sizeof(int64_t));
-    if (advised != 0) COUSINS_METRIC_COUNTER_ADD("mem.thp_bytes", advised);
     mask_ = capacity - 1;
     size_ = 0;
     for (size_t i = 0; i < old_keys.size(); ++i) {
-      if (old_keys[i] == kEmpty) continue;
+      if (PairOf(old_keys[i]) == kEmpty) continue;
       if (old_supports[i] == 0 && old_occurrences[i] == 0) continue;
       size_t j = Slot(old_keys[i]);
-      while (keys_[j] != kEmpty) j = (j + 1) & mask_;
+      while (PairOf(keys_[j]) != kEmpty) j = (j + 1) & mask_;
       keys_[j] = old_keys[i];
       supports_[j] = old_supports[i];
       occurrences_[j] = old_occurrences[i];
@@ -278,7 +240,7 @@ class TallyMap {
     live_ = size_;
   }
 
-  std::vector<uint64_t> keys_;
+  std::vector<Key> keys_;
   std::vector<int32_t> supports_;
   std::vector<int64_t> occurrences_;
   size_t mask_ = 0;
@@ -287,177 +249,10 @@ class TallyMap {
   Stats stats_;
 };
 
-/// TallyMap with one extra uint32 auxiliary word per entry, for the
-/// miner variants whose item identity does not fit (table, label pair)
-/// alone: the generalized miner packs (h, v) into the aux word, the
-/// weighted miner packs its weight bucket. Identity is the (key, aux)
-/// composite; the aux word is mixed into the probe hash so entries
-/// sharing a label pair but differing in kinship/bucket spread apart.
-/// Kept as a separate class (not a TallyMap mode) so the flagship
-/// cousin fold keeps its exact three-array layout and hot-path codegen.
-class WideTallyMap {
- public:
-  WideTallyMap() = default;
-
-  /// See TallyMap::ReserveLive.
-  void ReserveLive(size_t live) {
-    size_t capacity = kMinCapacity;
-    while (live * 10 >= capacity * 7) capacity *= 2;
-    if (capacity > keys_.size()) Rehash(capacity);
-  }
-
-  /// Folds (support_delta, occ_delta) into (key, aux), inserting the
-  /// composite if new. Saturating adds. Returns the live-entry delta:
-  /// +1 when newly inserted or revived from zero-net, 0 otherwise
-  /// (see TallyMap::Add).
-  int Add(uint64_t key, uint32_t aux, int32_t support_delta,
-          int64_t occ_delta) {
-    if (keys_.empty()) Rehash(kMinCapacity);
-    COUSINS_METRICS_ONLY(++stats_.probes;)
-    size_t i = Slot(key, aux);
-    while (keys_[i] != kEmpty) {
-      if (keys_[i] == key && aux_[i] == aux) {
-        const bool was_dead = supports_[i] == 0 && occurrences_[i] == 0;
-        supports_[i] = SaturatingAddInt(supports_[i], support_delta);
-        occurrences_[i] = SaturatingAdd(occurrences_[i], occ_delta);
-        if (was_dead && !(supports_[i] == 0 && occurrences_[i] == 0)) {
-          ++live_;
-          return 1;
-        }
-        return 0;
-      }
-      COUSINS_METRICS_ONLY(++stats_.probes;)
-      i = (i + 1) & mask_;
-    }
-    keys_[i] = key;
-    aux_[i] = aux;
-    supports_[i] = support_delta;
-    occurrences_[i] = occ_delta;
-    const int delta = (support_delta == 0 && occ_delta == 0) ? 0 : 1;
-    live_ += delta;
-    if (++size_ * 10 >= keys_.size() * 7) Grow();
-    return delta;
-  }
-
-  /// Counted deletion of the (key, aux) composite; see
-  /// TallyMap::Subtract for the clamp-at-zero and live-delta contract.
-  int Subtract(uint64_t key, uint32_t aux, int32_t support_delta,
-               int64_t occ_delta) {
-    if (keys_.empty()) return 0;
-    COUSINS_METRICS_ONLY(++stats_.probes;)
-    size_t i = Slot(key, aux);
-    while (keys_[i] != kEmpty) {
-      if (keys_[i] == key && aux_[i] == aux) {
-        const bool was_dead = supports_[i] == 0 && occurrences_[i] == 0;
-        const int64_t s =
-            static_cast<int64_t>(supports_[i]) - support_delta;
-        supports_[i] = s < 0 ? 0 : static_cast<int32_t>(s);
-        const int64_t o = SaturatingSub(occurrences_[i], occ_delta);
-        occurrences_[i] = o < 0 ? 0 : o;
-        if (!was_dead && supports_[i] == 0 && occurrences_[i] == 0) {
-          --live_;
-          return -1;
-        }
-        return 0;
-      }
-      COUSINS_METRICS_ONLY(++stats_.probes;)
-      i = (i + 1) & mask_;
-    }
-    return 0;
-  }
-
-  /// See TallyMap::PrefetchKey.
-  void PrefetchKey(uint64_t key, uint32_t aux) const {
-    if (keys_.empty()) return;
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(&keys_[Slot(key, aux)], 1 /*write*/, 1);
-#endif
-  }
-
-  /// Empties the table keeping its capacity — the per-tree variant
-  /// scratch is cleared between trees so steady-state mining stays
-  /// allocation-free (mirrors PairCountMap::Clear).
-  void Clear() {
-    size_ = 0;
-    live_ = 0;
-    keys_.assign(keys_.size(), kEmpty);
-  }
-
-  size_t size() const { return size_; }
-  size_t live() const { return live_; }
-  size_t capacity() const { return keys_.size(); }
-  const TallyMap::Stats& stats() const { return stats_; }
-
-  /// Invokes fn(key, aux, support, occurrences) for every live entry
-  /// (unspecified order); zero-net slots are skipped.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (size_t i = 0; i < keys_.size(); ++i) {
-      if (keys_[i] == kEmpty) continue;
-      if (supports_[i] == 0 && occurrences_[i] == 0) continue;
-      fn(keys_[i], aux_[i], supports_[i], occurrences_[i]);
-    }
-  }
-
- private:
-  static constexpr uint64_t kEmpty = ~uint64_t{0};
-  static constexpr size_t kMinCapacity = 64;
-
-  size_t Slot(uint64_t key, uint32_t aux) const {
-    uint64_t h = key ^ (static_cast<uint64_t>(aux) << 16);
-    h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    h = (h ^ (h >> 27)) * 0x94D049BB133111EBULL;
-    return static_cast<size_t>(h ^ (h >> 31)) & mask_;
-  }
-
-  /// See TallyMap::Grow — purge-before-grow.
-  void Grow() {
-    ++stats_.grows;
-    const size_t capacity = keys_.size();
-    Rehash(live_ * 2 >= capacity ? capacity * 2 : capacity);
-  }
-
-  void Rehash(size_t capacity) {
-    std::vector<uint64_t> old_keys = std::move(keys_);
-    std::vector<uint32_t> old_aux = std::move(aux_);
-    std::vector<int32_t> old_supports = std::move(supports_);
-    std::vector<int64_t> old_occurrences = std::move(occurrences_);
-    keys_.assign(capacity, kEmpty);
-    aux_.assign(capacity, 0);
-    supports_.assign(capacity, 0);
-    occurrences_.assign(capacity, 0);
-    // See TallyMap::Rehash — same huge-page hint, plus the aux array.
-    size_t advised = AdviseHugePages(keys_.data(), capacity * sizeof(uint64_t));
-    advised += AdviseHugePages(aux_.data(), capacity * sizeof(uint32_t));
-    advised += AdviseHugePages(supports_.data(), capacity * sizeof(int32_t));
-    advised +=
-        AdviseHugePages(occurrences_.data(), capacity * sizeof(int64_t));
-    if (advised != 0) COUSINS_METRIC_COUNTER_ADD("mem.thp_bytes", advised);
-    mask_ = capacity - 1;
-    size_ = 0;
-    for (size_t i = 0; i < old_keys.size(); ++i) {
-      if (old_keys[i] == kEmpty) continue;
-      if (old_supports[i] == 0 && old_occurrences[i] == 0) continue;
-      size_t j = Slot(old_keys[i], old_aux[i]);
-      while (keys_[j] != kEmpty) j = (j + 1) & mask_;
-      keys_[j] = old_keys[i];
-      aux_[j] = old_aux[i];
-      supports_[j] = old_supports[i];
-      occurrences_[j] = old_occurrences[i];
-      ++size_;
-    }
-    live_ = size_;
-  }
-
-  std::vector<uint64_t> keys_;
-  std::vector<uint32_t> aux_;
-  std::vector<int32_t> supports_;
-  std::vector<int64_t> occurrences_;
-  size_t mask_ = 0;
-  size_t size_ = 0;
-  size_t live_ = 0;
-  TallyMap::Stats stats_;
-};
+/// Cousin and free-tree forest tally: packed label pair keys.
+using TallyMap = TallyTable<uint64_t>;
+/// Generalized and weighted forest tally: (pair, aux word) keys.
+using AuxTallyMap = TallyTable<AuxKey>;
 
 }  // namespace internal
 }  // namespace cousins

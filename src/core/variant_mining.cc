@@ -206,7 +206,7 @@ Status MineGeneralizedScratch(const Tree& tree, const MiningOptions& options,
       generalized.max_vertical < 0) {
     return Status::OK();
   }
-  WideTallyMap& acc = scratch->gen_acc;
+  AuxTallyMap& acc = scratch->gen_acc;
   acc.Clear();
 
   const int32_t max_level =
@@ -247,7 +247,7 @@ Status MineGeneralizedScratch(const Tree& tree, const MiningOptions& options,
           int64_t cross =
               SaturatingSub(SaturatingMul(cx, cy), same_child);
           if (x == y) cross /= 2;
-          if (cross > 0) acc.Add(PackLabelPair(x, y), aux, 0, cross);
+          if (cross > 0) acc.Add({PackLabelPair(x, y), aux}, 0, cross);
         }
       }
       return;
@@ -268,7 +268,7 @@ Status MineGeneralizedScratch(const Tree& tree, const MiningOptions& options,
         }
         const int64_t cross =
             SaturatingSub(SaturatingMul(cx, cy), same_child);
-        if (cross > 0) acc.Add(PackLabelPair(x, y), aux, 0, cross);
+        if (cross > 0) acc.Add({PackLabelPair(x, y), aux}, 0, cross);
       }
     }
   };
@@ -282,7 +282,7 @@ Status MineGeneralizedScratch(const Tree& tree, const MiningOptions& options,
         if (governed && (node_tick++ & 63u) == 0) {
           Status st = CheckGovernance(
               context, static_cast<int64_t>(acc.size()),
-              static_cast<int64_t>(acc.capacity()) * 24);
+              static_cast<int64_t>(acc.capacity() * AuxTallyMap::kSlotBytes));
           if (!st.ok()) {
             termination = std::move(st);
             return;
@@ -297,15 +297,15 @@ Status MineGeneralizedScratch(const Tree& tree, const MiningOptions& options,
 
   const int64_t max_items = context.budget().max_items;
   bool item_cap_hit = false;
-  acc.ForEach([&](uint64_t key, uint32_t aux, int32_t /*support*/,
-                  int64_t occurrences) {
+  acc.ForEach([&](AuxKey key, int32_t /*support*/, int64_t occurrences) {
     if (occurrences >= options.min_occur && occurrences > 0) {
       if (static_cast<int64_t>(items.size()) >= max_items) {
         item_cap_hit = true;
         return;
       }
-      items.push_back(GeneralizedPairItem{UnpackFirst(key), UnpackSecond(key),
-                                          UnpackH(aux), UnpackV(aux),
+      items.push_back(GeneralizedPairItem{UnpackFirst(key.pair),
+                                          UnpackSecond(key.pair),
+                                          UnpackH(key.aux), UnpackV(key.aux),
                                           occurrences});
     }
   });
@@ -343,7 +343,7 @@ Status MineWeightedScratch(const Tree& tree, const MiningOptions& options,
   if (scratch->weighted_acc.size() != num_acc) {
     scratch->weighted_acc.resize(num_acc);
   }
-  for (WideTallyMap& m : scratch->weighted_acc) m.Clear();
+  for (AuxTallyMap& m : scratch->weighted_acc) m.Clear();
 
   std::vector<double>& weighted_depth = scratch->weighted_depth;
   weighted_depth.assign(tree.size(), 0.0);
@@ -361,9 +361,9 @@ Status MineWeightedScratch(const Tree& tree, const MiningOptions& options,
     if (governed && (node_tick++ & 15u) == 0) {
       int64_t entries = 0;
       int64_t bytes = 0;
-      for (const WideTallyMap& m : scratch->weighted_acc) {
+      for (const AuxTallyMap& m : scratch->weighted_acc) {
         entries += static_cast<int64_t>(m.size());
-        bytes += static_cast<int64_t>(m.capacity()) * 24;
+        bytes += static_cast<int64_t>(m.capacity() * AuxTallyMap::kSlotBytes);
       }
       Status st = CheckGovernance(context, entries, bytes);
       if (!st.ok()) {
@@ -384,7 +384,7 @@ Status MineWeightedScratch(const Tree& tree, const MiningOptions& options,
       const int32_t bucket =
           ClampWeightBucket(weighted_path, weighted.bucket_width);
       scratch->weighted_acc[twice_d].Add(
-          PackLabelPair(tree.label(u), tree.label(v)), PackBucket(bucket),
+          {PackLabelPair(tree.label(u), tree.label(v)), PackBucket(bucket)},
           0, 1);
     }
   }
@@ -393,16 +393,15 @@ Status MineWeightedScratch(const Tree& tree, const MiningOptions& options,
   bool item_cap_hit = false;
   for (int twice_d = 0; twice_d <= options.twice_maxdist; ++twice_d) {
     scratch->weighted_acc[twice_d].ForEach(
-        [&](uint64_t key, uint32_t aux, int32_t /*support*/,
-            int64_t occurrences) {
+        [&](AuxKey key, int32_t /*support*/, int64_t occurrences) {
           if (occurrences >= options.min_occur && occurrences > 0) {
             if (static_cast<int64_t>(items.size()) >= max_items) {
               item_cap_hit = true;
               return;
             }
             items.push_back(WeightedPairItem{
-                UnpackFirst(key), UnpackSecond(key), twice_d,
-                UnpackBucket(aux), occurrences});
+                UnpackFirst(key.pair), UnpackSecond(key.pair), twice_d,
+                UnpackBucket(key.aux), occurrences});
           }
         });
   }

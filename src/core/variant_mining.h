@@ -31,7 +31,7 @@ namespace cousins {
 namespace internal {
 
 /// Packs the generalized (horizontal, vertical) kinship into the
-/// WideTallyMap aux word. Requires 0 <= h, v <= 0xFFFF
+/// AuxTallyMap aux word. Requires 0 <= h, v <= 0xFFFF
 /// (ValidateVariantOptions enforces the caps).
 inline uint32_t PackHV(int32_t horizontal, int32_t vertical) {
   return (static_cast<uint32_t>(horizontal) << 16) |
@@ -77,13 +77,13 @@ struct VariantScratch {
   std::vector<std::vector<uint64_t>> flush_keys;
 
   // Generalized fold: one (pair, aux=(h,v)) accumulator.
-  WideTallyMap gen_acc;
+  AuxTallyMap gen_acc;
   std::vector<GeneralizedPairItem> gen_items;
 
   // Weighted fold: weighted depths plus one (pair, aux=bucket)
   // accumulator per twice-distance.
   std::vector<double> weighted_depth;
-  std::vector<WideTallyMap> weighted_acc;
+  std::vector<AuxTallyMap> weighted_acc;
   std::vector<WeightedPairItem> weighted_items;
 
   /// Reactive accumulator rehashes across all variant accumulators —
@@ -93,7 +93,7 @@ struct VariantScratch {
     int64_t total = 0;
     for (const PairCountMap& m : pair_acc) total += m.stats().rehashes;
     total += gen_acc.stats().grows;
-    for (const WideTallyMap& m : weighted_acc) total += m.stats().grows;
+    for (const AuxTallyMap& m : weighted_acc) total += m.stats().grows;
     return total;
   }
 };

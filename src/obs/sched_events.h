@@ -7,9 +7,6 @@
 // Counters:
 //   sched.steals   — successful work-stealing transfers (a thief
 //                    acquired chunks from a victim's deque)
-//   sched.remote_steals — the subset of sched.steals whose victim sat
-//                    on a different CPU socket (NUMA traffic; stays 0
-//                    on single-socket machines)
 //   sched.idle_ns  — wall nanoseconds workers spent out of work
 //                    (searching victims or draining empty deques)
 // Histogram:
@@ -31,11 +28,6 @@ namespace cousins::obs {
 /// Records `count` successful steals by a worker.
 inline void RecordSchedSteals(int64_t count) {
   if (count > 0) COUSINS_METRIC_COUNTER_ADD("sched.steals", count);
-}
-
-/// Records `count` steals that crossed a socket boundary.
-inline void RecordSchedRemoteSteals(int64_t count) {
-  if (count > 0) COUSINS_METRIC_COUNTER_ADD("sched.remote_steals", count);
 }
 
 /// Records wall time a worker spent without work.

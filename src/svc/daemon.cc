@@ -323,7 +323,8 @@ Status CousinService::RestoreServiceSnapshot(const std::string& bytes) {
   return Status::OK();
 }
 
-MiningContext CousinService::ContextFor(const Request& request) const {
+Result<MiningContext> CousinService::ContextFor(
+    const Request& request) const {
   MiningContext context;
   // The client's deadline-ms and the server ceiling combine tighter-
   // wins; a client asking for 0 ms is already expired (the first
@@ -331,11 +332,14 @@ MiningContext CousinService::ContextFor(const Request& request) const {
   int64_t deadline_ms = -1;
   for (const std::string& arg : request.args) {
     if (StartsWith(arg, kDeadlineArgPrefix)) {
-      const int64_t client_ms =
-          std::atoll(arg.c_str() + kDeadlineArgPrefix.size());
-      if (client_ms >= 0 && (deadline_ms < 0 || client_ms < deadline_ms)) {
-        deadline_ms = client_ms;
+      int64_t client_ms = 0;
+      if (!ParseNonNegativeInt(
+              std::string_view(arg).substr(kDeadlineArgPrefix.size()),
+              &client_ms)) {
+        return Status::InvalidArgument("malformed " + arg +
+                                       " (want a decimal millisecond count)");
       }
+      if (deadline_ms < 0 || client_ms < deadline_ms) deadline_ms = client_ms;
     }
   }
   if (config_.max_request_ms > 0 &&
@@ -506,14 +510,15 @@ Response CousinService::HandleIngest(const Request& request) {
   AdmissionSlot slot(admission_,
                      static_cast<int64_t>(request.payload.size()));
   if (!slot.admitted()) return ShedResponse(slot.decision());
-  const MiningContext context = ContextFor(request);
+  Result<MiningContext> context = ContextFor(request);
+  if (!context.ok()) return ErrorResponse(context.status());
 
   std::lock_guard<std::mutex> lock(mutate_mu_);
   const int64_t id = next_batch_id_;
   MultiTreeMiner staging(config_.mining);
   QuarantineLedger batch_quarantine;
   Status mined =
-      MineBatch(id, request.payload, context, &staging, &batch_quarantine);
+      MineBatch(id, request.payload, *context, &staging, &batch_quarantine);
   if (!mined.ok()) {
     // Staging discarded: a rejected or tripped batch leaves the
     // resident tallies, the WAL and the quarantine ledger untouched.
@@ -580,8 +585,14 @@ Response CousinService::HandleRetract(const Request& request) {
   }
   AdmissionSlot slot(admission_, 0);
   if (!slot.admitted()) return ShedResponse(slot.decision());
-  const int64_t id = std::atoll(request.args[0].c_str());
-  const MiningContext context = ContextFor(request);
+  int64_t id = 0;
+  if (!ParseNonNegativeInt(request.args[0], &id)) {
+    return ErrorResponse(Status::InvalidArgument(
+        "malformed batch id '" + request.args[0] +
+        "' (want a decimal batch id)"));
+  }
+  Result<MiningContext> context = ContextFor(request);
+  if (!context.ok()) return ErrorResponse(context.status());
 
   std::lock_guard<std::mutex> lock(mutate_mu_);
   auto it = batches_.find(id);
@@ -602,7 +613,7 @@ Response CousinService::HandleRetract(const Request& request) {
   // failures go to a throwaway ledger.
   QuarantineLedger scratch;
   Status mined =
-      MineBatch(id, it->second.payload, context, &staging, &scratch);
+      MineBatch(id, it->second.payload, *context, &staging, &scratch);
   if (!mined.ok()) return ErrorResponse(std::move(mined));
   Status appended = store_.AppendRetract(id);
   if (!appended.ok()) {
@@ -649,22 +660,31 @@ Response CousinService::HandleQuery(const Request& request) const {
     // Row match over the all-tallies CSV: the first three fields are
     // label1, label2 and the rendered distance for every variant's CSV
     // shape. Labels containing commas or quotes are matched by their
-    // CSV-escaped form.
-    const std::string needle =
-        request.args[1] + "," + request.args[2] + "," + request.args[3] + ",";
-    bool first = true;
-    for (std::string_view line : Split(snapshot->all_csv, '\n')) {
-      if (first) {
-        // Header row.
-        response.payload.assign(line);
+    // CSV-escaped form. Each pair is stored in one label order (its
+    // interning order) and the pair is unordered, so the labels are
+    // tried as given and, when no row matches, swapped.
+    const std::string_view all = snapshot->all_csv;
+    const size_t header_end = all.find('\n');
+    response.payload.assign(all.substr(0, header_end));
+    response.payload += "\n";
+    const auto append_rows = [&](const std::string& a, const std::string& b) {
+      // A data row starts right after a newline, so the header never
+      // matches.
+      const std::string needle =
+          "\n" + a + "," + b + "," + request.args[3] + ",";
+      bool found = false;
+      for (size_t at = all.find(needle); at != std::string_view::npos;
+           at = all.find(needle, at + 1)) {
+        const size_t end = all.find('\n', at + 1);
+        response.payload.append(all.substr(
+            at + 1, end == std::string_view::npos ? end : end - at - 1));
         response.payload += "\n";
-        first = false;
-        continue;
+        found = true;
       }
-      if (StartsWith(line, needle)) {
-        response.payload.append(line);
-        response.payload += "\n";
-      }
+      return found;
+    };
+    if (!append_rows(request.args[1], request.args[2])) {
+      append_rows(request.args[2], request.args[1]);
     }
     return response;
   }

@@ -166,8 +166,9 @@ class CousinService {
   Status PublishSnapshot();
 
   /// MiningContext from the request's deadline-ms argument and the
-  /// server's ceiling/budget.
-  MiningContext ContextFor(const Request& request) const;
+  /// server's ceiling/budget; InvalidArgument when a deadline-ms value
+  /// is not a plain decimal count.
+  Result<MiningContext> ContextFor(const Request& request) const;
 
   std::string HealthJson() const;
 

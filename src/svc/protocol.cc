@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 
 #include <unistd.h>
 
@@ -192,11 +193,16 @@ Result<ParsedResponse> ParseResponse(std::string_view body) {
   constexpr std::string_view kRetryPrefix = "retry-after-ms=";
   if (StartsWith(rest, kRetryPrefix)) {
     size_t end = rest.find(' ');
-    const std::string token(
+    const std::string_view token =
         rest.substr(kRetryPrefix.size(),
                     (end == std::string_view::npos ? rest.size() : end) -
-                        kRetryPrefix.size()));
-    parsed.retry_after_ms = std::atoi(token.c_str());
+                        kRetryPrefix.size());
+    int64_t retry_after_ms = 0;
+    if (!ParseNonNegativeInt(token, &retry_after_ms) ||
+        retry_after_ms > std::numeric_limits<int>::max()) {
+      return Status::Corruption("malformed retry-after-ms in response");
+    }
+    parsed.retry_after_ms = static_cast<int>(retry_after_ms);
     rest = end == std::string_view::npos ? std::string_view()
                                          : rest.substr(end + 1);
   }

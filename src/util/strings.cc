@@ -1,6 +1,8 @@
 #include "util/strings.h"
 
 #include <cctype>
+#include <charconv>
+#include <system_error>
 
 namespace cousins {
 
@@ -42,6 +44,16 @@ std::string Join(const std::vector<std::string>& parts,
 
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
+}
+
+bool ParseNonNegativeInt(std::string_view s, int64_t* out) {
+  // from_chars accepts a leading '-'; a sign is malformed here.
+  if (s.empty() || s[0] == '-') return false;
+  int64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+  if (ec != std::errc() || ptr != s.data() + s.size()) return false;
+  *out = value;
+  return true;
 }
 
 std::string FormatHalfDistance(int twice_distance) {

@@ -3,6 +3,7 @@
 #ifndef COUSINS_UTIL_STRINGS_H_
 #define COUSINS_UTIL_STRINGS_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,6 +22,11 @@ std::string Join(const std::vector<std::string>& parts,
 
 /// True if `s` begins with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
+
+/// Parses `s` as a plain decimal integer in [0, INT64_MAX]: digits
+/// only — no sign, no whitespace, no trailing bytes. Returns false
+/// (out untouched) on empty, malformed or out-of-range input.
+bool ParseNonNegativeInt(std::string_view s, int64_t* out);
 
 /// Formats a half-integer cousin distance (stored as 2*d) as "0", "0.5",
 /// "1", "1.5", ... — the notation used throughout the paper.

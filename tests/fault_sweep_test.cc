@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -31,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -225,6 +227,15 @@ Result<svc::ParsedResponse> SvcCall(const std::string& socket_path,
   if (!sent.ok()) {
     close(fd);
     return sent;
+  }
+  // Wait until the server has answered (or dropped the connection)
+  // before reading. The svc.read site is process-wide and this client
+  // shares it with the server: reading at once would race the server's
+  // own read of the request for the armed hit, and a hit taken here
+  // leaves the request to be ingested concurrently with the next one,
+  // in either order.
+  pollfd ready{fd, POLLIN, 0};
+  while (poll(&ready, 1, -1) < 0 && errno == EINTR) {
   }
   std::string response_body;
   Result<bool> got = svc::ReadFrame(fd, &response_body);

@@ -10,15 +10,19 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/kernel_dispatch.h"
 #include "core/mining_scratch.h"
+#include "core/multi_tree_mining.h"
 #include "core/pair_count_map.h"
 #include "core/simd_fold.h"
 #include "core/single_tree_mining.h"
 #include "gen/fanout_generator.h"
+#include "test_util.h"
 #include "util/rng.h"
 
 namespace cousins {
@@ -97,7 +101,6 @@ TEST(SimdDispatchTest, KernelTablesAreConsistent) {
   EXPECT_EQ(scalar.tier, SimdTier::kScalar);
   EXPECT_NE(scalar.add_product, nullptr);
   EXPECT_NE(scalar.normalize, nullptr);
-  EXPECT_NE(scalar.pack_item_keys, nullptr);
   const FoldKernels* avx2 = Avx2KernelsIfSupported();
   EXPECT_EQ(avx2 != nullptr, CpuSupportsAvx2());
   if (avx2 != nullptr) {
@@ -223,29 +226,6 @@ TEST(SimdFoldPropertyTest, NormalizeHandlesDegenerateSizes) {
   EXPECT_EQ(runs, (FlatCounts{{5, 80}}));
 }
 
-TEST(SimdFoldPropertyTest, PackItemKeysMatchesScalarForAllTails) {
-  const FoldKernels* avx2 = Avx2KernelsIfSupported();
-  if (avx2 == nullptr) GTEST_SKIP() << "no AVX2 on this machine";
-  Rng rng(777);
-  for (size_t n = 0; n < 40; ++n) {  // covers every remainder 0–7 twice
-    std::vector<CousinPairItem> items;
-    items.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      CousinPairItem item;
-      item.label1 = static_cast<LabelId>(rng.Uniform(1 << 20));
-      item.label2 = static_cast<LabelId>(rng.Uniform(1 << 20));
-      item.twice_distance = static_cast<int>(rng.Uniform(4));
-      item.occurrences = static_cast<int64_t>(rng.Uniform(100));
-      items.push_back(item);
-    }
-    std::vector<uint64_t> scalar_keys(n, 0);
-    std::vector<uint64_t> avx2_keys(n, 1);
-    internal::PackItemKeysScalar(items.data(), n, scalar_keys.data());
-    avx2->pack_item_keys(items.data(), n, avx2_keys.data());
-    ASSERT_EQ(scalar_keys, avx2_keys) << "n=" << n;
-  }
-}
-
 TEST(SimdFoldPropertyTest, MinedItemsIdenticalAcrossTiers) {
   if (Avx2KernelsIfSupported() == nullptr) {
     GTEST_SKIP() << "no AVX2 on this machine";
@@ -276,6 +256,45 @@ TEST(SimdFoldPropertyTest, MinedItemsIdenticalAcrossTiers) {
       EXPECT_EQ(scalar_items[i].occurrences, avx2_items[i].occurrences);
     }
   }
+}
+
+/// Frequent pairs of a forest of two identical stars whose 520 leaves
+/// carry distinct labels, mined under `mode`. The 134,940 sibling
+/// pairs overflow the presized distance-0 tally mid-fold, so the fold
+/// must survive a grow part-way through one tree's items.
+std::vector<FrequentCousinPair> MineTwoStars(SimdMode mode) {
+  std::string newick = "(";
+  for (int i = 0; i < 520; ++i) {
+    if (i > 0) newick += ",";
+    newick += "leaf" + std::to_string(i);
+  }
+  newick += ");";
+  auto labels = std::make_shared<LabelTable>();
+  const std::vector<Tree> forest = {testing_util::MustParse(newick, labels),
+                                    testing_util::MustParse(newick, labels)};
+  MultiTreeMiningOptions options;
+  options.per_tree.twice_maxdist = 3;
+  options.per_tree.min_occur = 1;
+  options.min_support = 2;
+  SetSimdMode(mode);
+  return MineMultipleTrees(forest, options);
+}
+
+TEST(SimdFoldPropertyTest, ForestFoldKeepsEveryTallyAcrossMidFoldGrow) {
+  if (Avx2KernelsIfSupported() == nullptr) {
+    GTEST_SKIP() << "no AVX2 on this machine";
+  }
+  SimdModeGuard guard;
+  const std::vector<FrequentCousinPair> avx2 = MineTwoStars(SimdMode::kAvx2);
+  const std::vector<FrequentCousinPair> scalar =
+      MineTwoStars(SimdMode::kScalar);
+  ASSERT_EQ(avx2.size(), size_t{520 * 519 / 2});
+  for (const FrequentCousinPair& pair : avx2) {
+    ASSERT_EQ(pair.support, 2);
+    ASSERT_EQ(pair.twice_distance, 0);
+    ASSERT_EQ(pair.total_occurrences, 2);
+  }
+  EXPECT_TRUE(avx2 == scalar) << "tiers disagree on the two-star forest";
 }
 
 }  // namespace

@@ -109,12 +109,25 @@ std::string QueryFrequent(CousinService& service) {
 
 /// Daemon-vs-daemon oracle: the answer a fresh daemon gives over
 /// exactly `batches` (same label-interning order WAL replay produces).
+/// The store is private to the calling test case and process, so test
+/// cases running concurrently never remove each other's oracle store.
+/// A failed Start is reported and yields an empty answer, which no
+/// daemon CSV (it always has a header) can equal.
 std::string OracleCsv(const std::vector<std::string>& batches) {
-  const std::string wal = TempPath("storage_fault_oracle");
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string wal =
+      TempPath(std::string("storage_fault_oracle.") + test->test_suite_name() +
+               "." + test->name() + "." + std::to_string(getpid()));
   RemoveStore(wal);
   Result<std::unique_ptr<CousinService>> service =
       CousinService::Start(BaseConfig(wal));
-  EXPECT_TRUE(service.ok()) << service.status().ToString();
+  if (!service.ok()) {
+    ADD_FAILURE() << "oracle daemon failed to start: "
+                  << service.status().ToString();
+    RemoveStore(wal);
+    return "";
+  }
   for (const std::string& batch : batches) {
     EXPECT_TRUE(
         (*service)->Handle(MakeRequest("INGEST", {}, batch)).status.ok());

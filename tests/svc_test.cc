@@ -28,6 +28,7 @@
 #include "tree/newick.h"
 #include "util/fault_injection.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace cousins {
 namespace {
@@ -319,6 +320,23 @@ TEST(SvcProtocolTest, RequestAndResponseParsing) {
   EXPECT_EQ(parsed->payload, "a,b\n1,2\n");
 }
 
+TEST(SvcProtocolTest, MalformedRetryAfterIsCorruption) {
+  for (const char* body :
+       {"ERR Unavailable retry-after-ms=12x queue full\n",
+        "ERR Unavailable retry-after-ms= queue full\n",
+        "ERR Unavailable retry-after-ms=-5 queue full\n",
+        "ERR Unavailable retry-after-ms=+5 queue full\n",
+        "ERR Unavailable retry-after-ms=99999999999 queue full\n"}) {
+    Result<ParsedResponse> parsed = svc::ParseResponse(body);
+    ASSERT_FALSE(parsed.ok()) << body;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kCorruption) << body;
+  }
+  Result<ParsedResponse> parsed =
+      svc::ParseResponse("ERR Unavailable retry-after-ms=12\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->retry_after_ms, 12);
+}
+
 // --- Admission ---------------------------------------------------------
 
 TEST(SvcAdmissionTest, QueueDepthAndByteWatermarkShed) {
@@ -472,6 +490,67 @@ TEST(SvcServiceTest, PerRequestDeadlineTripsAsGovernance) {
   ASSERT_TRUE(ok.status.ok());
   EXPECT_NE(ok.payload.find("id=1"), std::string::npos)
       << "tripped ingest must not have consumed an id";
+  RemoveStore(wal);
+}
+
+TEST(SvcServiceTest, MalformedNumericArgumentsAreInvalidArgument) {
+  const std::string wal = TempPath("svc_service_malformed_args");
+  RemoveStore(wal);
+  Result<std::unique_ptr<CousinService>> service =
+      CousinService::Start(BaseConfig(wal));
+  ASSERT_TRUE(service.ok());
+  ASSERT_TRUE(
+      (*service)->Handle(MakeRequest("INGEST", {}, "(a,b);")).status.ok());
+  // A batch id is a plain decimal: trailing bytes, letters, signs and
+  // the empty string are malformed — never read as some other id.
+  for (const char* id : {"1abc", "abc", "", "-1", "+1", " 1"}) {
+    EXPECT_EQ((*service)->Handle(MakeRequest("RETRACT", {id})).status.code(),
+              StatusCode::kInvalidArgument)
+        << "RETRACT '" << id << "'";
+  }
+  for (const char* deadline :
+       {"deadline-ms=x", "deadline-ms=", "deadline-ms=5ms", "deadline-ms=-1"}) {
+    EXPECT_EQ((*service)
+                  ->Handle(MakeRequest("INGEST", {deadline}, "(c,d);"))
+                  .status.code(),
+              StatusCode::kInvalidArgument)
+        << deadline;
+    EXPECT_EQ((*service)
+                  ->Handle(MakeRequest("RETRACT", {"1", deadline}))
+                  .status.code(),
+              StatusCode::kInvalidArgument)
+        << deadline;
+  }
+  // Nothing malformed was applied: batch 1 is still live and the next
+  // ingest takes id 2.
+  Response next = (*service)->Handle(MakeRequest("INGEST", {}, "(c,d);"));
+  ASSERT_TRUE(next.status.ok());
+  EXPECT_NE(next.payload.find("id=2"), std::string::npos);
+  EXPECT_TRUE((*service)->Handle(MakeRequest("RETRACT", {"1"})).status.ok());
+  RemoveStore(wal);
+}
+
+TEST(SvcServiceTest, SupportQueryMatchesEitherLabelOrder) {
+  const std::string wal = TempPath("svc_service_support_order");
+  RemoveStore(wal);
+  Result<std::unique_ptr<CousinService>> service =
+      CousinService::Start(BaseConfig(wal));
+  ASSERT_TRUE(service.ok());
+  ASSERT_TRUE((*service)
+                  ->Handle(MakeRequest("INGEST", {},
+                                       "((a,b),(c,d));((a,b),(c,d));"))
+                  .status.ok());
+  Response stored = (*service)->Handle(
+      MakeRequest("QUERY", {"support", "a", "b", "0"}));
+  Response swapped = (*service)->Handle(
+      MakeRequest("QUERY", {"support", "b", "a", "0"}));
+  ASSERT_TRUE(stored.status.ok());
+  ASSERT_TRUE(swapped.status.ok());
+  // Header plus the one (a, b, 0) row, whichever order was asked.
+  const std::vector<std::string_view> lines = Split(stored.payload, '\n');
+  ASSERT_EQ(lines.size(), 3u) << stored.payload;
+  EXPECT_TRUE(StartsWith(lines[1], "a,b,0,")) << stored.payload;
+  EXPECT_EQ(swapped.payload, stored.payload);
   RemoveStore(wal);
 }
 

@@ -194,18 +194,18 @@ TEST(TallyMap, PurgeBeforeGrowDropsZeroNetSlots) {
   EXPECT_EQ(entries, 16);
 }
 
-TEST(WideTallyMap, SubtractMirrorsTallyMapSemantics) {
-  internal::WideTallyMap map;
-  EXPECT_EQ(map.Add(42, 9, 2, 10), 1);
-  EXPECT_EQ(map.Subtract(42, 9, 1, 4), 0);
-  EXPECT_EQ(map.Subtract(42, 9, 1, 6), -1);
+TEST(AuxTallyMap, SubtractMirrorsTallyMapSemantics) {
+  internal::AuxTallyMap map;
+  EXPECT_EQ(map.Add({42, 9}, 2, 10), 1);
+  EXPECT_EQ(map.Subtract({42, 9}, 1, 4), 0);
+  EXPECT_EQ(map.Subtract({42, 9}, 1, 6), -1);
   EXPECT_EQ(map.live(), 0u);
   int entries = 0;
-  map.ForEach([&](uint64_t, uint32_t, int32_t, int64_t) { ++entries; });
+  map.ForEach([&](internal::AuxKey, int32_t, int64_t) { ++entries; });
   EXPECT_EQ(entries, 0);
   // Distinct aux under the same key is a distinct entry.
-  EXPECT_EQ(map.Add(42, 8, 1, 1), 1);
-  EXPECT_EQ(map.Subtract(42, 9, 1, 1), 0) << "wrong aux must not match";
+  EXPECT_EQ(map.Add({42, 8}, 1, 1), 1);
+  EXPECT_EQ(map.Subtract({42, 9}, 1, 1), 0) << "wrong aux must not match";
   EXPECT_EQ(map.live(), 1u);
 }
 

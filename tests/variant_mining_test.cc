@@ -1,5 +1,5 @@
 // Unit tests of the unified-miner building blocks: saturating
-// arithmetic boundaries, the (key, aux) WideTallyMap, aux-word
+// arithmetic boundaries, the (key, aux) AuxTallyMap, aux-word
 // packing, and the per-tree variant folds against their reference
 // implementations.
 
@@ -26,13 +26,14 @@ namespace {
 
 using internal::MineFreeVariantScratch;
 using internal::MineGeneralizedScratch;
+using internal::AuxKey;
+using internal::AuxTallyMap;
 using internal::PackBucket;
 using internal::PackHV;
 using internal::UnpackBucket;
 using internal::UnpackH;
 using internal::UnpackV;
 using internal::VariantScratch;
-using internal::WideTallyMap;
 using testing_util::MustParse;
 
 constexpr int64_t kMax64 = std::numeric_limits<int64_t>::max();
@@ -74,22 +75,21 @@ TEST(VariantPackingTest, BucketRoundTripIsBitExact) {
   }
 }
 
-TEST(WideTallyMapTest, AuxWordSeparatesEntries) {
-  WideTallyMap map;
-  EXPECT_TRUE(map.Add(42, 1, 1, 10));
-  EXPECT_TRUE(map.Add(42, 2, 1, 20));   // same key, new aux: fresh
-  EXPECT_FALSE(map.Add(42, 1, 1, 5));   // existing composite: folded
+TEST(AuxTallyMapTest, AuxWordSeparatesEntries) {
+  AuxTallyMap map;
+  EXPECT_TRUE(map.Add({42, 1}, 1, 10));
+  EXPECT_TRUE(map.Add({42, 2}, 1, 20));   // same key, new aux: fresh
+  EXPECT_FALSE(map.Add({42, 1}, 1, 5));   // existing composite: folded
   EXPECT_EQ(map.size(), 2u);
   int64_t occ_aux1 = 0, occ_aux2 = 0;
   int32_t sup_aux1 = 0;
-  map.ForEach([&](uint64_t key, uint32_t aux, int32_t support,
-                  int64_t occurrences) {
-    EXPECT_EQ(key, 42u);
-    if (aux == 1) {
+  map.ForEach([&](AuxKey key, int32_t support, int64_t occurrences) {
+    EXPECT_EQ(key.pair, 42u);
+    if (key.aux == 1) {
       occ_aux1 = occurrences;
       sup_aux1 = support;
     } else {
-      EXPECT_EQ(aux, 2u);
+      EXPECT_EQ(key.aux, 2u);
       occ_aux2 = occurrences;
     }
   });
@@ -98,19 +98,19 @@ TEST(WideTallyMapTest, AuxWordSeparatesEntries) {
   EXPECT_EQ(occ_aux2, 20);
 }
 
-TEST(WideTallyMapTest, AddSaturates) {
-  WideTallyMap map;
-  map.Add(7, 0, std::numeric_limits<int32_t>::max(), kMax64);
-  map.Add(7, 0, 1, 1);
-  map.ForEach([&](uint64_t, uint32_t, int32_t support, int64_t occurrences) {
+TEST(AuxTallyMapTest, AddSaturates) {
+  AuxTallyMap map;
+  map.Add({7, 0}, std::numeric_limits<int32_t>::max(), kMax64);
+  map.Add({7, 0}, 1, 1);
+  map.ForEach([&](AuxKey, int32_t support, int64_t occurrences) {
     EXPECT_EQ(support, std::numeric_limits<int32_t>::max());
     EXPECT_EQ(occurrences, kMax64);
   });
 }
 
-TEST(WideTallyMapTest, ClearKeepsCapacity) {
-  WideTallyMap map;
-  for (uint64_t k = 0; k < 200; ++k) map.Add(k, 0, 1, 1);
+TEST(AuxTallyMapTest, ClearKeepsCapacity) {
+  AuxTallyMap map;
+  for (uint64_t k = 0; k < 200; ++k) map.Add({k, 0}, 1, 1);
   const size_t capacity = map.capacity();
   EXPECT_GT(capacity, 64u);
   map.Clear();
@@ -118,21 +118,22 @@ TEST(WideTallyMapTest, ClearKeepsCapacity) {
   EXPECT_EQ(map.capacity(), capacity);
   // Refilling the same keys must not grow again.
   const int64_t grows = map.stats().grows;
-  for (uint64_t k = 0; k < 200; ++k) map.Add(k, 0, 1, 1);
+  for (uint64_t k = 0; k < 200; ++k) map.Add({k, 0}, 1, 1);
   EXPECT_EQ(map.stats().grows, grows);
 }
 
-TEST(WideTallyMapTest, GrowPreservesEntries) {
-  WideTallyMap map;
-  for (uint64_t k = 0; k < 1000; ++k) map.Add(k, static_cast<uint32_t>(k), 1, int64_t{2} * k);
+TEST(AuxTallyMapTest, GrowPreservesEntries) {
+  AuxTallyMap map;
+  for (uint64_t k = 0; k < 1000; ++k) {
+    map.Add({k, static_cast<uint32_t>(k)}, 1, int64_t{2} * k);
+  }
   EXPECT_EQ(map.size(), 1000u);
   size_t seen = 0;
-  map.ForEach([&](uint64_t key, uint32_t aux, int32_t support,
-                  int64_t occurrences) {
+  map.ForEach([&](AuxKey key, int32_t support, int64_t occurrences) {
     ++seen;
-    EXPECT_EQ(aux, static_cast<uint32_t>(key));
+    EXPECT_EQ(key.aux, static_cast<uint32_t>(key.pair));
     EXPECT_EQ(support, 1);
-    EXPECT_EQ(occurrences, static_cast<int64_t>(2 * key));
+    EXPECT_EQ(occurrences, static_cast<int64_t>(2 * key.pair));
   });
   EXPECT_EQ(seen, 1000u);
 }

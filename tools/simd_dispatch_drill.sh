@@ -13,9 +13,10 @@
 #
 # The drill mines a generated fig6-style synthetic corpus (varied
 # shapes, rotating labels, a couple hundred trees — enough to exercise
-# the dense accumulator, the 4-lane key pack, and the scalar tails)
-# plus the committed phylogeny corpora, under both modes, and byte-
-# compares every output pair.
+# the dense accumulator and the scalar tails), a two-star forest whose
+# sibling pairs outgrow the presized forest tally in the middle of one
+# tree's fold, and the committed phylogeny corpora, under both modes,
+# and byte-compares every output pair.
 #
 # On hardware without AVX2 the drill prints a loud skip notice and
 # exits 0: there is nothing to cross-check when only one dispatch path
@@ -78,6 +79,21 @@ compare() {
 
 compare "synthetic frequent CSV" frequent "$FOREST" --csv --minsup=2
 compare "synthetic mine listing" mine "$FOREST"
+
+# Two identical stars over 520 distinct leaf labels: 520·519/2 = 134,940
+# sibling pairs at support 2, more than the distance-0 tally is presized
+# for, so the forest fold grows that table mid-tree. Every pair must
+# reach the CSV under both modes.
+STARS="$WORK/two_stars.nwk"
+STAR="($(seq -f 'leaf%g' 0 519 | paste -sd,));"
+printf '%s\n%s\n' "$STAR" "$STAR" > "$STARS"
+compare "two-star frequent CSV" \
+  frequent "$STARS" --csv --maxdist=1.5 --minsup=2 --threads=1
+rows=$(($(wc -l < "$WORK/scalar.out") - 1))
+if [ "$rows" -ne 134940 ]; then
+  echo "FAIL: two-star frequent CSV has $rows rows, want 134940"
+  exit 1
+fi
 
 HERE=$(cd "$(dirname "$0")" && pwd)
 compare "seed_plants frequent CSV" \
