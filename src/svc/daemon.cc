@@ -1,10 +1,14 @@
 #include "svc/daemon.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <functional>
+#include <iterator>
 #include <thread>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include <poll.h>
@@ -14,6 +18,7 @@
 #include <unistd.h>
 
 #include "core/checkpoint.h"
+#include "core/cousin_distance.h"
 #include "core/item_io.h"
 #include "obs/metrics.h"
 #include "tree/newick.h"
@@ -165,7 +170,119 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
+// --- snapshot queries ------------------------------------------------
+
+std::string RowsToCsv(const LabelTable& labels,
+                      const std::vector<FrequentCousinPair>& rows) {
+  return FrequentPairsToCsv(labels, rows);
+}
+std::string RowsToCsv(const LabelTable& labels,
+                      const std::vector<FrequentGeneralizedPair>& rows) {
+  return GeneralizedPairsToCsv(labels, rows);
+}
+std::string RowsToCsv(const LabelTable& labels,
+                      const std::vector<FrequentWeightedPair>& rows) {
+  return WeightedPairsToCsv(labels, rows);
+}
+
+/// A row's third CSV field, rendered as RowsToCsv renders it.
+std::string ThirdField(const FrequentCousinPair& row) {
+  return row.twice_distance == kAnyDistance
+             ? "@"
+             : FormatHalfDistance(row.twice_distance);
+}
+std::string ThirdField(const FrequentGeneralizedPair& row) {
+  return std::to_string(row.horizontal);
+}
+std::string ThirdField(const FrequentWeightedPair& row) {
+  return FormatHalfDistance(row.twice_distance);
+}
+
+/// The CSV writers quote a field holding any of these bytes.
+bool NeedsCsvQuotes(std::string_view name) {
+  return name.find_first_of(",\"\n") != std::string_view::npos;
+}
+
+/// The label whose rendered CSV field is exactly `field`, or kNoLabel.
+LabelId FindRenderedLabel(const LabelTable& labels, std::string_view field) {
+  if (!NeedsCsvQuotes(field)) return labels.Find(field);
+  if (field.size() < 2 || field.front() != '"' || field.back() != '"') {
+    return kNoLabel;
+  }
+  std::string name;
+  for (size_t i = 1; i + 1 < field.size(); ++i) {
+    if (field[i] == '"') {
+      // Inside quotes a quote is doubled; a lone one ends the field.
+      if (i + 2 >= field.size() || field[i + 1] != '"') return kNoLabel;
+      ++i;
+    }
+    name += field[i];
+  }
+  return NeedsCsvQuotes(name) ? labels.Find(name) : kNoLabel;
+}
+
+template <typename Row>
+std::string SupportRows(const LabelTable& labels, const std::vector<Row>& rows,
+                        LabelId a, LabelId b, std::string_view field3) {
+  std::vector<Row> matched;
+  if (a != kNoLabel && b != kNoLabel) {
+    // Rows lead with their label pair, smaller id first.
+    const auto key = std::pair(std::min(a, b), std::max(a, b));
+    const auto pair_of = [](const Row& row) {
+      return std::pair(row.label1, row.label2);
+    };
+    std::ranges::copy_if(
+        std::ranges::equal_range(rows, key, std::less{}, pair_of),
+        std::back_inserter(matched),
+        [&](const Row& row) { return ThirdField(row) == field3; });
+  }
+  return RowsToCsv(labels, matched);
+}
+
+template <typename Row>
+std::string FrequentRows(const LabelTable& labels,
+                         const std::vector<Row>& rows, int min_support) {
+  std::vector<Row> frequent;
+  std::ranges::copy_if(rows, std::back_inserter(frequent),
+                       [&](const Row& row) {
+                         return row.support >= min_support;
+                       });
+  // Rows arrive in key order, so a stable sort leaves key order as the
+  // tie-break — the miner's own Frequent*Pairs order.
+  std::ranges::stable_sort(frequent, std::greater{}, &Row::support);
+  return RowsToCsv(labels, frequent);
+}
+
 }  // namespace
+
+const std::string& ServiceSnapshot::FrequentCsv() const {
+  std::call_once(frequent_once_, [this] {
+    const auto start = std::chrono::steady_clock::now();
+    frequent_csv_ = std::visit(
+        [this](const auto& all) {
+          return FrequentRows(*labels, all, min_support);
+        },
+        rows);
+    COUSINS_METRIC_HISTOGRAM_RECORD(
+        "svc.render_ns",
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+  });
+  return frequent_csv_;
+}
+
+std::string ServiceSnapshot::SupportCsv(std::string_view label1,
+                                        std::string_view label2,
+                                        std::string_view field3) const {
+  const LabelId a = FindRenderedLabel(*labels, label1);
+  const LabelId b = FindRenderedLabel(*labels, label2);
+  return std::visit(
+      [&](const auto& all) {
+        return SupportRows(*labels, all, a, b, field3);
+      },
+      rows);
+}
 
 CousinService::CousinService(const ServiceConfig& config)
     : config_(config),
@@ -174,6 +291,7 @@ CousinService::CousinService(const ServiceConfig& config)
       fingerprint_(MiningOptionsFingerprint(config.mining) ^
                    (config.lenient ? 0x5CACADAFu : 0u)),
       labels_(std::make_shared<LabelTable>()),
+      label_view_(std::make_shared<const LabelTable>()),
       miner_(config.mining),
       admission_(config.admission) {
   miner_.BindLabels(labels_);
@@ -438,26 +556,25 @@ Status CousinService::PublishSnapshot() {
   next->trees = miner_.tree_count();
   next->live_batches = static_cast<int64_t>(batches_.size());
   next->tallies = miner_.accumulator_stats().tally_entries;
+  next->min_support = config_.mining.min_support;
   switch (config_.mining.variant) {
     case MinerVariant::kCousin:
     case MinerVariant::kFreeTree:
-      next->frequent_csv =
-          FrequentPairsToCsv(*labels_, miner_.FrequentPairs());
-      next->all_csv = FrequentPairsToCsv(*labels_, miner_.AllTallies());
+      next->rows = miner_.AllTallies();
       break;
     case MinerVariant::kGeneralized:
-      next->frequent_csv = GeneralizedPairsToCsv(
-          *labels_, miner_.FrequentGeneralizedPairs());
-      next->all_csv =
-          GeneralizedPairsToCsv(*labels_, miner_.AllGeneralizedTallies());
+      next->rows = miner_.AllGeneralizedTallies();
       break;
     case MinerVariant::kWeighted:
-      next->frequent_csv =
-          WeightedPairsToCsv(*labels_, miner_.FrequentWeightedPairs());
-      next->all_csv =
-          WeightedPairsToCsv(*labels_, miner_.AllWeightedTallies());
+      next->rows = miner_.AllWeightedTallies();
       break;
   }
+  // The label table only grows, so an unchanged size means the last
+  // view is still exact.
+  if (label_view_->size() != labels_->size()) {
+    label_view_ = std::make_shared<const LabelTable>(*labels_);
+  }
+  next->labels = label_view_;
   snapshot_cell_.Store(std::move(next));
   const auto elapsed = std::chrono::steady_clock::now() - start;
   COUSINS_METRIC_COUNTER_ADD("svc.swaps", 1);
@@ -649,7 +766,7 @@ Response CousinService::HandleQuery(const Request& request) const {
   std::shared_ptr<const ServiceSnapshot> snapshot = snapshot_cell_.Load();
   Response response;
   if (request.args[0] == "frequent-pairs") {
-    response.payload = snapshot->frequent_csv;
+    response.payload = snapshot->FrequentCsv();
     return response;
   }
   if (request.args[0] == "support") {
@@ -657,35 +774,8 @@ Response CousinService::HandleQuery(const Request& request) const {
       return ErrorResponse(Status::InvalidArgument(
           "QUERY support requires <label1> <label2> <distance>"));
     }
-    // Row match over the all-tallies CSV: the first three fields are
-    // label1, label2 and the rendered distance for every variant's CSV
-    // shape. Labels containing commas or quotes are matched by their
-    // CSV-escaped form. Each pair is stored in one label order (its
-    // interning order) and the pair is unordered, so the labels are
-    // tried as given and, when no row matches, swapped.
-    const std::string_view all = snapshot->all_csv;
-    const size_t header_end = all.find('\n');
-    response.payload.assign(all.substr(0, header_end));
-    response.payload += "\n";
-    const auto append_rows = [&](const std::string& a, const std::string& b) {
-      // A data row starts right after a newline, so the header never
-      // matches.
-      const std::string needle =
-          "\n" + a + "," + b + "," + request.args[3] + ",";
-      bool found = false;
-      for (size_t at = all.find(needle); at != std::string_view::npos;
-           at = all.find(needle, at + 1)) {
-        const size_t end = all.find('\n', at + 1);
-        response.payload.append(all.substr(
-            at + 1, end == std::string_view::npos ? end : end - at - 1));
-        response.payload += "\n";
-        found = true;
-      }
-      return found;
-    };
-    if (!append_rows(request.args[1], request.args[2])) {
-      append_rows(request.args[2], request.args[1]);
-    }
+    response.payload = snapshot->SupportCsv(request.args[1], request.args[2],
+                                            request.args[3]);
     return response;
   }
   return ErrorResponse(Status::InvalidArgument(

@@ -160,9 +160,10 @@ class CousinService {
   /// Applies one WAL record during Start (no WAL append, no deadline).
   Status ApplyReplayRecord(const SvcWalRecord& record);
 
-  /// Renders and atomically publishes a fresh snapshot. Fault site
-  /// svc.swap simulates a failed publish (the mutation stays applied
-  /// and durable; the snapshot catches up on the next publish).
+  /// Collects the tallies and atomically publishes a fresh snapshot
+  /// (svc/snapshot.h); renders no CSV. Fault site svc.swap simulates a
+  /// failed publish (the mutation stays applied and durable; the
+  /// snapshot catches up on the next publish).
   Status PublishSnapshot();
 
   /// MiningContext from the request's deadline-ms argument and the
@@ -199,6 +200,9 @@ class CousinService {
   /// Serializes all state mutation (miner, WAL, batches_, publish).
   std::mutex mutate_mu_;
   std::shared_ptr<LabelTable> labels_;
+  /// Immutable copy of labels_ as of the last publish, shared by every
+  /// snapshot published since; queries read it, never labels_.
+  std::shared_ptr<const LabelTable> label_view_;
   MultiTreeMiner miner_;
   WalStore store_;
   QuarantineLedger quarantine_;

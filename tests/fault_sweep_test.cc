@@ -29,14 +29,15 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "core/checkpoint.h"
 #include "core/item_io.h"
 #include "core/parallel_mining.h"
 #include "gen/yule_generator.h"
@@ -198,6 +199,64 @@ TEST(FaultSweepTest, EveryRegisteredSiteFailsCleanAndResumesToBaseline) {
 // acknowledged batch is always durable; an unacknowledged one may be
 // (the WAL ambiguity window), but nothing else ever appears.
 
+/// The client's frame codec: svc/protocol.h's wire format (uint32 LE
+/// body length | uint32 LE crc32(body) | body) without its svc.read /
+/// svc.write fault sites, so every armed hit on those sites is the
+/// daemon's.
+Status SendFrame(int fd, std::string_view body) {
+  std::string frame;
+  for (const uint32_t word :
+       {static_cast<uint32_t>(body.size()),
+        internal::Crc32(body.data(), body.size())}) {
+    for (int i = 0; i < 4; ++i) {
+      frame.push_back(static_cast<char>((word >> (8 * i)) & 0xFFu));
+    }
+  }
+  frame.append(body);
+  for (size_t sent = 0; sent < frame.size();) {
+    const ssize_t n = write(fd, frame.data() + sent, frame.size() - sent);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return Status::Unavailable("connection dropped");
+    sent += static_cast<size_t>(n);
+  }
+  return Status::OK();
+}
+
+/// Reads exactly `size` bytes; false on EOF or a stream error.
+bool RecvAll(int fd, char* data, size_t size) {
+  for (size_t got = 0; got < size;) {
+    const ssize_t n = read(fd, data + got, size - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    got += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+Result<std::string> RecvFrame(int fd) {
+  unsigned char header[8];
+  if (!RecvAll(fd, reinterpret_cast<char*>(header), sizeof(header))) {
+    return Status::Unavailable("connection dropped");
+  }
+  uint32_t words[2] = {0, 0};
+  for (int w = 0; w < 2; ++w) {
+    for (int i = 0; i < 4; ++i) {
+      words[w] |= static_cast<uint32_t>(header[4 * w + i]) << (8 * i);
+    }
+  }
+  if (words[0] > svc::kMaxFrameBytes) {
+    return Status::Corruption("frame length exceeds kMaxFrameBytes");
+  }
+  std::string body(words[0], '\0');
+  if (!RecvAll(fd, body.data(), body.size())) {
+    return Status::Unavailable("connection dropped mid-frame");
+  }
+  if (internal::Crc32(body.data(), body.size()) != words[1]) {
+    return Status::Corruption("frame CRC mismatch");
+  }
+  return body;
+}
+
 /// One client request against the serving daemon. Any transport
 /// failure (connection refused/dropped by an injected fault) comes
 /// back as an error Status, never a crash.
@@ -223,26 +282,12 @@ Result<svc::ParsedResponse> SvcCall(const std::string& socket_path,
     close(fd);
     return Status::Unavailable("cannot connect");
   }
-  Status sent = svc::WriteFrame(fd, body);
-  if (!sent.ok()) {
-    close(fd);
-    return sent;
-  }
-  // Wait until the server has answered (or dropped the connection)
-  // before reading. The svc.read site is process-wide and this client
-  // shares it with the server: reading at once would race the server's
-  // own read of the request for the armed hit, and a hit taken here
-  // leaves the request to be ingested concurrently with the next one,
-  // in either order.
-  pollfd ready{fd, POLLIN, 0};
-  while (poll(&ready, 1, -1) < 0 && errno == EINTR) {
-  }
-  std::string response_body;
-  Result<bool> got = svc::ReadFrame(fd, &response_body);
+  Status sent = SendFrame(fd, body);
+  Result<std::string> response_body =
+      sent.ok() ? RecvFrame(fd) : Result<std::string>(sent);
   close(fd);
-  if (!got.ok()) return got.status();
-  if (!*got) return Status::Unavailable("connection dropped");
-  return svc::ParseResponse(response_body);
+  if (!response_body.ok()) return response_body.status();
+  return svc::ParseResponse(*response_body);
 }
 
 struct SvcSweepOutcome {
@@ -381,6 +426,7 @@ TEST(FaultSweepTest, SvcSitesFailCleanAndRecoverToAckedState) {
       SCOPED_TRACE(site + " k=" + std::to_string(k));
       std::filesystem::remove_all(wal);
       registry.DisarmAll();
+      const uint64_t triggers_before = registry.Triggers(site);
       registry.Arm(site, k);
       const SvcSweepOutcome faulted =
           RunSvcPipeline(wal, socket_path, batches);
@@ -388,6 +434,20 @@ TEST(FaultSweepTest, SvcSitesFailCleanAndRecoverToAckedState) {
 
       std::vector<bool> acked = faulted.acked;
       acked.resize(batches.size(), false);
+      const bool stream_site = site == "svc.read" || site == "svc.write";
+      if (stream_site) {
+        // Arm restarts the site's hit count, and the client frames with
+        // its own codec: every hit since is the daemon's, so the armed
+        // one fired inside the daemon.
+        EXPECT_GE(registry.Hits(site), k);
+        EXPECT_EQ(registry.Triggers(site), triggers_before + 1);
+      }
+      // The daemon's first reply write fails after batch 1 is durable:
+      // its ack is lost, the batch is not.
+      const bool lost_first_ack = site == "svc.write" && k == 1;
+      if (lost_first_ack) {
+        EXPECT_FALSE(acked[0]);
+      }
       if (faulted.start.ok()) {
         // Liveness under faults: HEALTH answered within one retry even
         // though the armed site may have eaten a connection.
@@ -434,6 +494,9 @@ TEST(FaultSweepTest, SvcSitesFailCleanAndRecoverToAckedState) {
           << "recovered state matches no admissible batch set.\ngot:\n"
           << recovered.payload << "candidates:\n"
           << expectations;
+      if (lost_first_ack) {
+        EXPECT_EQ(recovered.payload, candidates.back());
+      }
     }
   }
   std::filesystem::remove_all(wal);

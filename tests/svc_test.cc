@@ -8,10 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -67,15 +71,16 @@ std::string ActiveSegmentPath(const std::string& wal_dir) {
 }
 
 /// A small deterministic Newick batch; distinct seeds give disjoint
-/// batches over a shared 30-label alphabet (so cross-batch pairs gain
-/// support and retraction visibly subtracts).
-std::string MakeBatch(uint64_t seed, int trees) {
+/// batches over a shared alphabet of `alphabet` labels, 30 by default
+/// (so cross-batch pairs gain support and retraction visibly
+/// subtracts).
+std::string MakeBatch(uint64_t seed, int trees, int alphabet = 30) {
   auto labels = std::make_shared<LabelTable>();
   Rng rng(seed);
   YulePhylogenyOptions gen;
   gen.min_nodes = 8;
   gen.max_nodes = 16;
-  gen.alphabet_size = 30;
+  gen.alphabet_size = alphabet;
   std::string text;
   for (int i = 0; i < trees; ++i) {
     text += ToNewick(GenerateYulePhylogeny(gen, rng, labels));
@@ -551,6 +556,299 @@ TEST(SvcServiceTest, SupportQueryMatchesEitherLabelOrder) {
   ASSERT_EQ(lines.size(), 3u) << stored.payload;
   EXPECT_TRUE(StartsWith(lines[1], "a,b,0,")) << stored.payload;
   EXPECT_EQ(swapped.payload, stored.payload);
+  RemoveStore(wal);
+}
+
+/// Every tally of `text` mined under `options`, rendered as the
+/// variant's CSV in canonical key order. Interning follows the text, as
+/// a daemon that ingests it as one batch does.
+std::string AllTalliesCsv(const std::string& text,
+                          const MultiTreeMiningOptions& options) {
+  auto labels = std::make_shared<LabelTable>();
+  Result<std::vector<Tree>> trees = ParseNewickForest(text, labels);
+  EXPECT_TRUE(trees.ok()) << trees.status().ToString();
+  MultiTreeMiner miner(options);
+  miner.BindLabels(labels);
+  for (const Tree& tree : *trees) miner.AddTree(tree);
+  switch (options.variant) {
+    case MinerVariant::kGeneralized:
+      return GeneralizedPairsToCsv(*labels, miner.AllGeneralizedTallies());
+    case MinerVariant::kWeighted:
+      return WeightedPairsToCsv(*labels, miner.AllWeightedTallies());
+    default:
+      return FrequentPairsToCsv(*labels, miner.AllTallies());
+  }
+}
+
+/// The reference answer to QUERY support: a scan of the all-tallies CSV
+/// for the rows whose first three rendered fields are (a, b, d), with
+/// the labels tried as given and, when no row matches, swapped.
+std::string ScanSupport(std::string_view all_csv, const std::string& a,
+                        const std::string& b, const std::string& d) {
+  std::string out(all_csv.substr(0, all_csv.find('\n') + 1));
+  const auto append_rows = [&](const std::string& x, const std::string& y) {
+    const std::string needle = "\n" + x + "," + y + "," + d + ",";
+    bool found = false;
+    for (size_t at = all_csv.find(needle); at != std::string_view::npos;
+         at = all_csv.find(needle, at + 1)) {
+      out.append(all_csv.substr(at + 1, all_csv.find('\n', at + 1) - at));
+      found = true;
+    }
+    return found;
+  };
+  if (!append_rows(a, b)) append_rows(b, a);
+  return out;
+}
+
+/// The fields of one CSV row in their rendered form (quoted labels keep
+/// their quotes) — what a client passes to QUERY support.
+std::vector<std::string> RenderedFields(std::string_view line) {
+  std::vector<std::string> fields(1);
+  bool quoted = false;
+  for (const char c : line) {
+    if (c == '"') quoted = !quoted;
+    if (c == ',' && !quoted) {
+      fields.emplace_back();
+    } else {
+      fields.back() += c;
+    }
+  }
+  return fields;
+}
+
+TEST(SvcServiceTest, SupportQueryAnswersLikeAnAllTalliesScan) {
+  // A Yule batch plus two trees over a label that needs CSV quoting.
+  const std::string forest =
+      MakeBatch(61, 12) +
+      "(('x,y':0.4,taxon1:1.3):0.2,(taxon2:2.6,'x,y':0.9):1.1);\n"
+      "(('x,y':2.2,taxon1:0.1):0.7,taxon2:0.3);\n";
+  const std::string quoted = "\"x,y\"";
+  struct Case {
+    const char* name;
+    MinerVariant variant;
+    bool ignore_distance;
+  };
+  for (const Case& c :
+       {Case{"cousin", MinerVariant::kCousin, false},
+        Case{"free", MinerVariant::kFreeTree, false},
+        Case{"generalized", MinerVariant::kGeneralized, false},
+        Case{"weighted", MinerVariant::kWeighted, false},
+        Case{"cousin-any", MinerVariant::kCousin, true}}) {
+    SCOPED_TRACE(c.name);
+    const std::string wal =
+        TempPath(std::string("svc_support_scan_") + c.name);
+    RemoveStore(wal);
+    ServiceConfig config = BaseConfig(wal);
+    config.mining.variant = c.variant;
+    config.mining.ignore_distance = c.ignore_distance;
+    Result<std::unique_ptr<CousinService>> service =
+        CousinService::Start(config);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    ASSERT_TRUE(
+        (*service)->Handle(MakeRequest("INGEST", {}, forest)).status.ok());
+    const std::string all = AllTalliesCsv(forest, config.mining);
+    const std::string header_only = all.substr(0, all.find('\n') + 1);
+    const auto support = [&](const std::string& a, const std::string& b,
+                             const std::string& d) {
+      Response response =
+          (*service)->Handle(MakeRequest("QUERY", {"support", a, b, d}));
+      EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+      EXPECT_EQ(response.payload, ScanSupport(all, a, b, d))
+          << "support " << a << " " << b << " " << d;
+      return response.payload;
+    };
+    const auto row_count = [](const std::string& csv) {
+      return std::count(csv.begin(), csv.end(), '\n') - 1;
+    };
+
+    // Every row, in its stored and in the swapped label order.
+    std::map<std::string, int> rows_per_query;
+    std::set<std::pair<std::string, std::string>> pairs;
+    std::set<std::string> labels_seen;
+    std::string distance_row;  // a row whose third field is "1.5"
+    bool quoted_seen = false;
+    const std::vector<std::string_view> lines = Split(all, '\n');
+    ASSERT_GT(lines.size(), 3u);
+    for (size_t i = 1; i < lines.size(); ++i) {
+      if (lines[i].empty()) continue;
+      const std::vector<std::string> f = RenderedFields(lines[i]);
+      ASSERT_GE(f.size(), 5u) << lines[i];
+      const std::string stored = support(f[0], f[1], f[2]);
+      EXPECT_NE(stored.find(std::string(lines[i]) + "\n"),
+                std::string::npos);
+      EXPECT_EQ(support(f[1], f[0], f[2]), stored);
+      ++rows_per_query[f[0] + " " + f[1] + " " + f[2]];
+      pairs.insert({f[0], f[1]});
+      labels_seen.insert(f[0]);
+      labels_seen.insert(f[1]);
+      if (f[2] == "1.5" && distance_row.empty()) {
+        distance_row = f[0] + " " + f[1];
+      }
+      quoted_seen = quoted_seen || f[0] == quoted || f[1] == quoted;
+    }
+    EXPECT_TRUE(quoted_seen) << "no row carries the quoted label";
+
+    // An unknown label, and two known labels that never pair up.
+    const std::string some_distance = RenderedFields(lines[1])[2];
+    EXPECT_EQ(support("no-such-label", *labels_seen.begin(), some_distance),
+              header_only);
+    bool absent_found = false;
+    for (const std::string& a : labels_seen) {
+      for (const std::string& b : labels_seen) {
+        if (absent_found || pairs.count({a, b}) || pairs.count({b, a})) {
+          continue;
+        }
+        absent_found = true;
+        EXPECT_EQ(support(a, b, some_distance), header_only);
+      }
+    }
+    EXPECT_TRUE(absent_found);
+
+    // A label needing quotes matches by its quoted form only.
+    EXPECT_EQ(support("x,y", "taxon1", some_distance), header_only);
+
+    // Distances match their canonical rendering only.
+    if (c.variant == MinerVariant::kGeneralized) {
+      const std::vector<std::string> f = RenderedFields(lines[1]);
+      EXPECT_GE(row_count(support(f[0], f[1], f[2])), 1);
+      EXPECT_EQ(support(f[0], f[1], "0" + f[2]), header_only);
+    } else if (c.ignore_distance) {
+      const std::vector<std::string> f = RenderedFields(lines[1]);
+      EXPECT_EQ(f[2], "@");
+      EXPECT_EQ(support(f[0], f[1], "1.5"), header_only);
+    } else {
+      ASSERT_FALSE(distance_row.empty()) << "no row at distance 1.5";
+      const std::vector<std::string_view> ab = Split(distance_row, ' ');
+      const std::string a(ab[0]);
+      const std::string b(ab[1]);
+      EXPECT_GE(row_count(support(a, b, "1.5")), 1);
+      EXPECT_EQ(support(a, b, "1.50"), header_only);
+      EXPECT_EQ(support(b, a, "1.50"), header_only);
+    }
+
+    // One query, several rows: a generalized horizontal over several
+    // verticals, a weighted distance over several buckets.
+    if (c.variant == MinerVariant::kGeneralized ||
+        c.variant == MinerVariant::kWeighted) {
+      bool several = false;
+      for (const auto& [query, count] : rows_per_query) {
+        if (count < 2) continue;
+        several = true;
+        const std::vector<std::string_view> q = Split(query, ' ');
+        EXPECT_EQ(row_count(support(std::string(q[0]), std::string(q[1]),
+                                    std::string(q[2]))),
+                  count)
+            << query;
+        break;
+      }
+      EXPECT_TRUE(several) << "no query matches several rows";
+    }
+    service->reset();
+    RemoveStore(wal);
+  }
+}
+
+TEST(SvcServiceTest, ConcurrentQueriesReadOnlyPublishedPrefixes) {
+  // Each batch draws from a wider alphabet than the one before, so the
+  // writer interns new labels while the readers query.
+  const std::string wal = TempPath("svc_service_concurrent_queries");
+  RemoveStore(wal);
+  const ServiceConfig config = BaseConfig(wal);
+  std::vector<std::string> batches;
+  for (int i = 0; i < 6; ++i) {
+    batches.push_back(MakeBatch(300 + i, 16, 20 + 12 * i));
+  }
+
+  // The answers of every prefix of the batch sequence: the listing, and
+  // two support queries — one over the first labels ever interned, one
+  // over a pair only the last batches can hold.
+  std::string everything;
+  for (const std::string& batch : batches) everything += batch;
+  const std::string final_all = AllTalliesCsv(everything, config.mining);
+  const std::vector<std::string_view> final_lines = Split(final_all, '\n');
+  ASSERT_GT(final_lines.size(), 3u);
+  std::vector<std::vector<std::string>> queries;
+  for (const std::string_view line :
+       {final_lines[1], final_lines[final_lines.size() - 2]}) {
+    std::vector<std::string> f = RenderedFields(line);
+    f.resize(3);
+    queries.push_back(std::move(f));
+  }
+  std::vector<std::string> listings;
+  std::vector<std::vector<std::string>> supports(queries.size());
+  std::string prefix;
+  for (size_t p = 0; p <= batches.size(); ++p) {
+    if (p > 0) prefix += batches[p - 1];
+    std::vector<std::string> upto(batches.begin(), batches.begin() + p);
+    listings.push_back(BatchPipelineCsv(upto, config.mining, 1));
+    const std::string all = AllTalliesCsv(prefix, config.mining);
+    for (size_t q = 0; q < queries.size(); ++q) {
+      supports[q].push_back(
+          ScanSupport(all, queries[q][0], queries[q][1], queries[q][2]));
+    }
+  }
+
+  Result<std::unique_ptr<CousinService>> service =
+      CousinService::Start(config);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  CousinService& daemon = **service;
+  std::atomic<bool> done{false};
+  constexpr int kReaders = 3;
+  std::vector<std::vector<std::string>> failures(kReaders);
+  std::vector<int> passes(kReaders, 0);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      std::vector<std::string>& failed = failures[r];
+      size_t seen = 0;  // listings never step back to an older prefix
+      for (bool last = false; !last;) {
+        last = done.load();
+        Response listing =
+            daemon.Handle(MakeRequest("QUERY", {"frequent-pairs"}));
+        const auto at =
+            std::find(listings.begin() + seen, listings.end(),
+                      listing.payload);
+        if (!listing.status.ok() || at == listings.end()) {
+          failed.push_back("listing matches no later prefix:\n" +
+                           listing.payload);
+        } else {
+          seen = static_cast<size_t>(at - listings.begin());
+        }
+        for (size_t q = 0; q < queries.size(); ++q) {
+          Response support = daemon.Handle(MakeRequest(
+              "QUERY",
+              {"support", queries[q][0], queries[q][1], queries[q][2]}));
+          if (!support.status.ok() ||
+              std::find(supports[q].begin(), supports[q].end(),
+                        support.payload) == supports[q].end()) {
+            failed.push_back("support reply matches no prefix:\n" +
+                             support.payload);
+          }
+        }
+        Response health = daemon.Handle(MakeRequest("HEALTH"));
+        if (!health.status.ok() ||
+            health.payload.find("\"snapshot_version\":") ==
+                std::string::npos) {
+          failed.push_back("health: " + health.payload);
+        }
+        ++passes[r];
+        if (last && seen + 1 != listings.size()) {
+          failed.push_back("final listing is not the last prefix");
+        }
+      }
+    });
+  }
+  for (const std::string& batch : batches) {
+    EXPECT_TRUE(daemon.Handle(MakeRequest("INGEST", {}, batch)).status.ok());
+  }
+  done.store(true);
+  for (std::thread& reader : readers) reader.join();
+  for (int r = 0; r < kReaders; ++r) {
+    EXPECT_GE(passes[r], 1);
+    EXPECT_TRUE(failures[r].empty())
+        << failures[r].size() << " bad replies; first: " << failures[r][0];
+  }
+  service->reset();
   RemoveStore(wal);
 }
 
