@@ -340,11 +340,22 @@ void MultiTreeMiner::MergeFrom(const MultiTreeMiner& other) {
   }
   tree_count_ += other.tree_count_;
   EnsureTallyCapacity();
+  // Reserve each target for the sum of both sides before folding, so a
+  // large merge rehashes at most once instead of growing step by step.
+  // The sum is capped at the number of unordered label pairs: when both
+  // sides hold the same complete pair universe (a small alphabet) the
+  // table already has room and must not double for nothing.
+  const size_t cardinality = labels_ == nullptr ? 0 : labels_->size();
+  const size_t pair_universe = cardinality * (cardinality + 1) / 2;
+  const auto reserve_for = [&](auto& mine, const auto& theirs) {
+    mine.ReserveLive(std::min(mine.live() + theirs.live(), pair_universe));
+  };
   // Identical options imply identical table counts; per-distance
   // merging is a straight SoA-to-SoA fold, no key re-derivation.
   COUSINS_CHECK(tables_.size() == other.tables_.size());
   for (size_t d = 0; d < tables_.size(); ++d) {
     internal::TallyMap& mine = tables_[d];
+    reserve_for(mine, other.tables_[d]);
     other.tables_[d].ForEach(
         [&](uint64_t key, int32_t support, int64_t occurrences) {
           total_tallies_ += mine.Add(key, support, occurrences);
@@ -353,6 +364,7 @@ void MultiTreeMiner::MergeFrom(const MultiTreeMiner& other) {
   COUSINS_CHECK(aux_tables_.size() == other.aux_tables_.size());
   for (size_t d = 0; d < aux_tables_.size(); ++d) {
     internal::AuxTallyMap& mine = aux_tables_[d];
+    reserve_for(mine, other.aux_tables_[d]);
     other.aux_tables_[d].ForEach(
         [&](internal::AuxKey key, int32_t support, int64_t occurrences) {
           total_tallies_ += mine.Add(key, support, occurrences);

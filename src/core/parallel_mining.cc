@@ -400,17 +400,30 @@ Result<BatchOutcome> MineBatchGoverned(const std::vector<Tree>& trees,
   }
 
   Stopwatch merge_sw;
-  // A single watched worker still ingests in order, so its partial
-  // batch is an exact prefix even though it ran on the threaded path.
-  BatchOutcome outcome{MultiTreeMiner(options), std::move(termination),
+  // The shard with the most live tallies (lowest index on ties) becomes
+  // the batch's partial, so its table is never re-hashed; only the
+  // others merge into it. A single watched worker still ingests in
+  // order, so its partial batch is an exact prefix even though it ran
+  // on the threaded path.
+  int32_t largest = 0;
+  for (int32_t w = 1; w < workers; ++w) {
+    if (shards[w].accumulator_stats().tally_entries >
+        shards[largest].accumulator_stats().tally_entries) {
+      largest = w;
+    }
+  }
+  BatchOutcome outcome{std::move(shards[largest]), std::move(termination),
                        workers == 1};
   // Every shard's tallies cover only fully-mined trees, so merging all
-  // shards — including tripped ones — yields a well-formed tally.
-  // MergeFrom can throw at the multiminer.merge fault site; contain it
-  // like a worker fault.
+  // shards — including tripped ones — yields a well-formed tally. A
+  // merged shard is released at once so it holds no memory through the
+  // rest of the merge. MergeFrom can throw at the multiminer.merge
+  // fault site; contain it like a worker fault.
   try {
-    for (const MultiTreeMiner& shard : shards) {
-      outcome.partial.MergeFrom(shard);
+    for (int32_t w = 0; w < workers; ++w) {
+      if (w == largest) continue;
+      outcome.partial.MergeFrom(shards[w]);
+      shards[w] = MultiTreeMiner(options);
     }
   } catch (const std::exception& e) {
     obs::RecordWorkerFault();
@@ -444,6 +457,8 @@ Result<MultiTreeMiningRun> MineMultipleTreesCheckpointed(
 
   MultiTreeMiner acc(options);
   size_t cursor = 0;
+  // True until `acc` holds a restored checkpoint or a mined batch.
+  bool acc_empty = true;
   if (config.resume) {
     // Checkpoint reads are a transient surface: retried under the
     // degraded policy (fail-fast None() by default).
@@ -466,6 +481,7 @@ Result<MultiTreeMiningRun> MineMultipleTreesCheckpointed(
                                                      std::move(labels),
                                                      degraded.ledger));
       cursor = static_cast<size_t>(acc.tree_count());
+      acc_empty = false;
       COUSINS_METRIC_COUNTER_ADD("checkpoint.resumes", 1);
       if (cursor > n) {
         return Status::InvalidArgument(
@@ -493,7 +509,15 @@ Result<MultiTreeMiningRun> MineMultipleTreesCheckpointed(
                              acc.SerializeCheckpoint(degraded.ledger));
     });
   };
-  const auto merge_into_acc = [&](const MultiTreeMiner& partial) -> Status {
+  // A fresh accumulator adopts its first batch outright: merging into
+  // an empty miner is saturating addition onto zero, so the move is
+  // exact and re-hashes nothing.
+  const auto merge_into_acc = [&](MultiTreeMiner& partial) -> Status {
+    if (acc_empty) {
+      acc = std::move(partial);
+      acc_empty = false;
+      return Status::OK();
+    }
     try {
       acc.MergeFrom(partial);
     } catch (const std::exception& e) {

@@ -1,6 +1,9 @@
 // Parallel Multiple_Tree_Mining: shards a forest across worker threads,
-// each running the single-tree miner with thread-local tallies, then
-// merges. Results are bit-identical to the sequential MineMultipleTrees
+// each running the single-tree miner with thread-local tallies. The
+// shard with the most live tallies is adopted as the batch result; the
+// others merge into it once, into a target reserved up to the pair
+// universe, and a fresh run's accumulator adopts its first batch.
+// Results are bit-identical to the sequential MineMultipleTrees
 // (merging is commutative integer addition).
 //
 // The checkpointed driver additionally snapshots the accumulated tally

@@ -6,13 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "core/multi_tree_mining.h"
 #include "core/pair_count_map.h"
 #include "core/tally_map.h"
 #include "gen/fanout_generator.h"
+#include "gen/yule_generator.h"
 #include "tree/label_table.h"
 #include "util/rng.h"
 
@@ -207,6 +210,80 @@ TEST(AuxTallyMap, SubtractMirrorsTallyMapSemantics) {
   EXPECT_EQ(map.Add({42, 8}, 1, 1), 1);
   EXPECT_EQ(map.Subtract({42, 9}, 1, 1), 0) << "wrong aux must not match";
   EXPECT_EQ(map.live(), 1u);
+}
+
+/// Live rows of `map`, sorted, for order-independent comparison.
+std::vector<std::tuple<uint64_t, int32_t, int64_t>> SortedRows(
+    const TallyMap& map) {
+  std::vector<std::tuple<uint64_t, int32_t, int64_t>> rows;
+  map.ForEach([&](uint64_t key, int32_t support, int64_t occ) {
+    rows.emplace_back(key, support, occ);
+  });
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST(TallyMap, ReserveLiveDropsZeroNetSlotsAndNeverShrinks) {
+  TallyMap map;
+  for (int i = 0; i < 40; ++i) map.Add(PackLabelPair(i, i + 1), 2, 3);
+  for (int i = 0; i < 40; i += 2) map.Subtract(PackLabelPair(i, i + 1), 2, 3);
+  ASSERT_EQ(map.live(), 20u);
+  ASSERT_EQ(map.size(), 40u);
+  const auto rows = SortedRows(map);
+  const size_t before = map.capacity();
+
+  map.ReserveLive(1000);
+  EXPECT_GT(map.capacity(), before);
+  EXPECT_EQ(map.size(), 20u) << "the rehash must drop zero-net slots";
+  EXPECT_EQ(map.live(), 20u);
+  EXPECT_EQ(SortedRows(map), rows);
+
+  const size_t reserved = map.capacity();
+  map.ReserveLive(1);
+  EXPECT_EQ(map.capacity(), reserved) << "a smaller reserve shrank the table";
+  EXPECT_EQ(SortedRows(map), rows);
+}
+
+// The daemon's RETRACT is SubtractFrom and its INGEST is MergeFrom, so
+// a merge can land on a table full of zero-net slots. The merge target
+// is reserved for both sides' live tallies first; that rehash drops the
+// zero-net slots, so the merge itself never grows reactively, and the
+// result equals replaying only the surviving batches. The batch sizes
+// keep retracted + kept (about 81k tallies) under the grow point of the
+// presized 131,072-slot table and put kept + ingested (about 103k) over
+// it, so the reserve must rehash.
+TEST(MergeFromAfterSubtract, MatchesReplayOfSurvivingBatches) {
+  auto labels = std::make_shared<LabelTable>();
+  Rng rng(77);
+  const YulePhylogenyOptions gen;  // TreeBASE shape, 18,870 taxa
+  MultiTreeMiningOptions options;
+  options.min_support = 1;
+  options.ignore_distance = true;  // one table, so the sizes add up
+  const auto mine_batch = [&](int count, MultiTreeMiner* replay) {
+    MultiTreeMiner batch(options);
+    for (int i = 0; i < count; ++i) {
+      const Tree tree = GenerateYulePhylogeny(gen, rng, labels);
+      batch.AddTree(tree);
+      if (replay != nullptr) replay->AddTree(tree);
+    }
+    return batch;
+  };
+  MultiTreeMiner replay(options);
+  const MultiTreeMiner retracted = mine_batch(120, nullptr);
+  const MultiTreeMiner kept = mine_batch(80, &replay);
+  const MultiTreeMiner ingested = mine_batch(170, &replay);
+
+  MultiTreeMiner acc(options);
+  acc.MergeFrom(retracted);
+  acc.MergeFrom(kept);
+  acc.SubtractFrom(retracted);
+  const int64_t grows_before = acc.accumulator_stats().tally_grows;
+  acc.MergeFrom(ingested);
+  EXPECT_EQ(acc.accumulator_stats().tally_grows, grows_before)
+      << "the merge target was not reserved before the fold";
+  EXPECT_EQ(acc.AllTallies(), replay.AllTallies());
+  EXPECT_EQ(acc.accumulator_stats().tally_entries,
+            replay.accumulator_stats().tally_entries);
 }
 
 /// Streams `num_trees` of a Table 3-shaped corpus (200-node fanout-5

@@ -11,8 +11,10 @@
 #
 # The thread lane builds and runs only the suites that drive threads
 # against shared state: the daemon (snapshot cell, connection threads,
-# admission), the daemon fault sweep, the work-stealing driver and the
-# parallel miner. halt_on_error makes any report fail the lane.
+# admission), the daemon fault sweep, the work-stealing driver, the
+# parallel miner, every variant through the threaded and checkpointed
+# drivers (variant pipeline) and the watchdog and lenient paths
+# (degraded mining). halt_on_error makes any report fail the lane.
 
 set -euo pipefail
 
@@ -22,7 +24,8 @@ lanes=("${@:-address undefined}")
 [[ $# -eq 0 ]] && lanes=(address undefined)
 
 thread_tests=(svc_test fault_sweep_test work_stealing_test
-              parallel_mining_test)
+              parallel_mining_test variant_pipeline_test
+              degraded_mining_test)
 
 for lane in "${lanes[@]}"; do
   build="$repo/build-${lane/,/-}san"
