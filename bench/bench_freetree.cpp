@@ -1,9 +1,9 @@
 // §6: free-tree (undirected acyclic graph) cousin mining.
 //
 // The paper gives the algorithm and its O(|G|²) complexity but no
-// figure; this bench documents the quadratic shape and compares the
-// paper's root-insertion algorithm (Fig. 11 / Eq. 7-10) against the
-// direct bounded-BFS implementation, verifying they agree.
+// figure; this bench records how the paper's root-insertion algorithm
+// (Fig. 11 / Eq. 7-10, on the level sweep) scales with graph size
+// against the direct bounded-BFS implementation, verifying they agree.
 
 #include <cstdio>
 #include <memory>

@@ -66,6 +66,43 @@ struct DensePairAccumulator {
   std::vector<uint32_t> dirty;
 };
 
+/// How the level sweep reads the tree's edges.
+enum class SweepShape : uint8_t {
+  /// §3 cousin pairs: Eq. (1)-(3) level pairs at each exact LCA.
+  kRooted,
+  /// §6: the tree read as a free tree — every pair whose path has
+  /// 2..twice_maxdist+2 edges, Eq. (7).
+  kFree,
+  /// kFree on a tree whose root subdivides an edge of the free tree
+  /// (Fig. 11): paths through the root are one edge shorter, Eq. (10).
+  kFreeEdgeRoot,
+};
+
+/// One level combination of the per-LCA kernel: labels `m` and `n`
+/// levels below the LCA, folded with `weight` (and the same-child
+/// products with -weight) into the twice_d table. m == 0 pairs the
+/// LCA's own label, which lies in no child subtree.
+struct LevelCombo {
+  int32_t m = 0;
+  int32_t n = 0;
+  int64_t weight = 1;
+  int32_t twice_d = 0;
+};
+
+/// The combination table of one (shape, twice_maxdist), built once and
+/// reused by every tree mined with the same options.
+struct SweepPlan {
+  SweepShape shape = SweepShape::kRooted;
+  int twice_maxdist = -1;
+  /// Deepest level below a node the sweep keeps.
+  int32_t max_level = 0;
+  /// Folded at every LCA, or at every LCA but the root under
+  /// kFreeEdgeRoot.
+  std::vector<LevelCombo> combos;
+  /// Folded at the root under kFreeEdgeRoot; empty otherwise.
+  std::vector<LevelCombo> root_combos;
+};
+
 /// All buffers MineSingleTreeScratch reuses across trees. Treat as
 /// opaque outside single_tree_mining.cc except for `items`, which holds
 /// the mined items of the most recent call.
@@ -91,6 +128,8 @@ struct MiningScratch {
   std::vector<DensePairAccumulator> dense_acc;
   std::vector<int32_t> dense_of_global;
   std::vector<LabelId> dense_to_global;
+  /// Level combinations of the most recent (shape, twice_maxdist).
+  SweepPlan plan;
 
   /// Reactive accumulator rehashes across all distance maps — the
   /// steady-state-no-growth regression signal (see PairCountMap::Stats).

@@ -216,9 +216,10 @@ Status MultiTreeMiner::MineAndFoldTree(const Tree& tree,
       return Status::OK();
     }
     case MinerVariant::kFreeTree: {
-      COUSINS_RETURN_IF_ERROR(internal::MineFreeVariantScratch(
-          tree, options_.per_tree, context, &variant_scratch_));
-      FoldItems(variant_scratch_.free_items);
+      COUSINS_RETURN_IF_ERROR(internal::MineSingleTreeScratch(
+          tree, options_.per_tree, context, &scratch_,
+          internal::SweepShape::kFree));
+      FoldItems(scratch_.items);
       return Status::OK();
     }
     case MinerVariant::kGeneralized: {

@@ -55,14 +55,6 @@ void NormalizeScalar(FlatCounts* counts, FoldBuffer* /*buf*/) {
   counts->resize(out);
 }
 
-void FlushUnitAdds(PairCountMap* acc, const uint64_t* keys, size_t n) {
-  constexpr size_t kAhead = 12;
-  for (size_t i = 0; i < n; ++i) {
-    if (i + kAhead < n) acc->PrefetchKey(keys[i + kAhead]);
-    acc->Add(keys[i], 1);
-  }
-}
-
 bool Avx2KernelsCompiled() { return COUSINS_SIMD_AVX2_COMPILED != 0; }
 
 #if COUSINS_SIMD_AVX2_COMPILED

@@ -52,12 +52,6 @@ void AddProductDenseScalar(const FlatCounts& a, const FlatCounts& b,
 /// Ignores `buf` (may be null).
 void NormalizeScalar(FlatCounts* counts, FoldBuffer* buf);
 
-/// Drains pre-packed keys into the accumulator with delta 1, in array
-/// order, behind the same grouped prefetch as the vector product
-/// kernel. Tier-independent helper for batched flushes of pre-ordered
-/// unit adds (free-tree variant path).
-void FlushUnitAdds(PairCountMap* acc, const uint64_t* keys, size_t n);
-
 // --- AVX2 kernels (x86-64 GCC/Clang builds only) ----------------------
 
 /// True when this binary contains the AVX2 kernels at all (compile-time

@@ -14,9 +14,12 @@ namespace {
 
 using internal::DensePairAccumulator;
 using internal::FlatCounts;
+using internal::LevelCombo;
 using internal::MiningScratch;
 using internal::PackLabelPair;
 using internal::PairCountMap;
+using internal::SweepPlan;
+using internal::SweepShape;
 using internal::UnpackFirst;
 using internal::UnpackSecond;
 
@@ -90,26 +93,73 @@ void ResetScratch(MiningScratch* scratch, size_t tree_size,
   scratch->fold.ResetStats();
 }
 
+/// Rebuilds scratch->plan when (shape, twice_maxdist) differs from the
+/// previous tree's, so a forest fold builds its table once.
+void PreparePlan(SweepShape shape, int twice_maxdist, SweepPlan* plan) {
+  if (plan->shape == shape && plan->twice_maxdist == twice_maxdist) return;
+  plan->shape = shape;
+  plan->twice_maxdist = twice_maxdist;
+  plan->combos.clear();
+  plan->root_combos.clear();
+  if (shape == SweepShape::kRooted) {
+    // Eq. (1)-(3): one (my_level, mycousin_level) pair per distance.
+    plan->max_level = MyLevel(twice_maxdist);
+    for (int twice_d = 0; twice_d <= twice_maxdist; ++twice_d) {
+      plan->combos.push_back(
+          {MyLevel(twice_d), MyCousinLevel(twice_d), 1, twice_d});
+    }
+    return;
+  }
+  // §6: a pair `up` and `down` edges below its exact LCA has a path of
+  // up + down edges, so Eq. (7) gives twice_d = up + down - 2. A
+  // combination with up < down counts each pair once and one with
+  // up == down counts it in both orders, so the former add twice and
+  // every table is halved at emit. up == 0 is the LCA itself.
+  plan->max_level = twice_maxdist + 2;
+  for (int32_t edges = 2; edges <= twice_maxdist + 2; ++edges) {
+    for (int32_t up = 0; 2 * up <= edges; ++up) {
+      plan->combos.push_back(
+          {up, edges - up, 2 * up == edges ? 1 : 2, edges - 2});
+    }
+  }
+  if (shape != SweepShape::kFreeEdgeRoot) return;
+  // Eq. (10): a path across the unlabeled root crosses the subdivided
+  // edge, one edge of the free tree but two here.
+  for (int32_t edges = 3; edges <= twice_maxdist + 3; ++edges) {
+    for (int32_t up = 1; 2 * up <= edges; ++up) {
+      plan->root_combos.push_back(
+          {up, edges - up, 2 * up == edges ? 1 : 2, edges - 3});
+    }
+  }
+}
+
 /// The governed core: the exact-LCA inclusion–exclusion miner with
-/// cooperative checkpoints, writing items into scratch->items.
+/// cooperative checkpoints, writing items into scratch->items. `shape`
+/// picks the level combinations folded at each LCA (SweepPlan).
 /// `context` is consulted once per small batch of source nodes (stride
 /// 64, amortizing the clock read), so an ungoverned context costs one
 /// predictable branch per node and the item stream is bit-identical to
 /// the pre-governance miner.
 Status MineCore(const Tree& tree, const MiningOptions& options,
-                const MiningContext& context, MiningScratch* scratch) {
+                SweepShape shape, const MiningContext& context,
+                MiningScratch* scratch) {
   if (tree.empty() || options.twice_maxdist < 0) {
     scratch->items.clear();
     return Status::OK();
   }
   ResetScratch(scratch, tree.size(), options.twice_maxdist);
+  PreparePlan(shape, options.twice_maxdist, &scratch->plan);
+  const SweepPlan& plan = scratch->plan;
   std::vector<CousinPairItem>& items = scratch->items;
 
-  const int32_t max_level = MyLevel(options.twice_maxdist);
+  const int32_t max_level = plan.max_level;
+  // The node whose LCA pairs take plan.root_combos (none when rooted).
+  const NodeId edge_root =
+      shape == SweepShape::kFreeEdgeRoot ? tree.root() : -1;
   // levels[v][k] = labels of v's descendants at depth k below v.
   std::vector<std::vector<FlatCounts>>& levels = scratch->levels;
-  // One accumulator per distance value; even distances collect ordered
-  // pairs and are halved at the end.
+  // One accumulator per distance value; tables that collect ordered
+  // pairs are halved at the end.
   std::vector<PairCountMap>& acc = scratch->acc;
 #if COUSINS_METRICS_ENABLED
   // Stats are cumulative over the scratch's lifetime; snapshot so the
@@ -220,38 +270,43 @@ Status MineCore(const Tree& tree, const MiningOptions& options,
     }
 
     if (!kids.empty()) {
-      for (int twice_d = 0; twice_d <= options.twice_maxdist; ++twice_d) {
-        const int32_t m = MyLevel(twice_d);
-        const int32_t n = MyCousinLevel(twice_d);
+      const std::vector<LevelCombo>& combos =
+          a == edge_root ? plan.root_combos : plan.combos;
+      for (const LevelCombo& combo : combos) {
+        const int32_t m = combo.m;
+        const int32_t n = combo.n;
         const FlatCounts& at_m = mine[m];
         const FlatCounts& at_n = mine[n];
         if (at_m.empty() || at_n.empty()) continue;
         // Exact-LCA inclusion–exclusion: aggregate product minus
-        // same-child products. For m == n (even distance) this counts
-        // ordered pairs and the diagonal cancels; halved at finalize.
+        // same-child products. For m == n this counts ordered pairs
+        // and the diagonal cancels; halved at finalize.
         if (dense) {
-          DensePairAccumulator& d = dense_acc[twice_d];
-          kernels.add_product_dense(at_m, at_n, +1, dense_stride,
+          DensePairAccumulator& d = dense_acc[combo.twice_d];
+          kernels.add_product_dense(at_m, at_n, combo.weight, dense_stride,
                                     d.cells.data(), &d.dirty,
                                     &scratch->fold);
+          if (m == 0) continue;
           for (NodeId c : kids) {
             const FlatCounts& cm = levels[c][m - 1];
             if (cm.empty()) continue;
             const FlatCounts& cn = levels[c][n - 1];
             if (cn.empty()) continue;
-            kernels.add_product_dense(cm, cn, -1, dense_stride,
+            kernels.add_product_dense(cm, cn, -combo.weight, dense_stride,
                                       d.cells.data(), &d.dirty,
                                       &scratch->fold);
           }
           continue;
         }
-        kernels.add_product(at_m, at_n, +1, &acc[twice_d], &scratch->fold);
+        PairCountMap* table = &acc[combo.twice_d];
+        kernels.add_product(at_m, at_n, combo.weight, table, &scratch->fold);
+        if (m == 0) continue;
         for (NodeId c : kids) {
           const FlatCounts& cm = levels[c][m - 1];
           if (cm.empty()) continue;
           const FlatCounts& cn = levels[c][n - 1];
           if (cn.empty()) continue;
-          kernels.add_product(cm, cn, -1, &acc[twice_d], &scratch->fold);
+          kernels.add_product(cm, cn, -combo.weight, table, &scratch->fold);
         }
       }
     }
@@ -280,7 +335,9 @@ Status MineCore(const Tree& tree, const MiningOptions& options,
   // scanning them is pure wasted work on capped trees.
   for (int twice_d = 0;
        twice_d <= options.twice_maxdist && !item_cap_hit; ++twice_d) {
-    const bool ordered = twice_d % 2 == 0;  // m == n counts both orders
+    // Rooted tables hold ordered pairs at even distances (m == n); free
+    // ones at every distance (PreparePlan).
+    const bool ordered = shape != SweepShape::kRooted || twice_d % 2 == 0;
     ++emit_tables_scanned;
     if (dense) {
       // Drain the touched cells in first-touch order, zeroing each as
@@ -359,8 +416,8 @@ namespace internal {
 
 Status MineSingleTreeScratch(const Tree& tree, const MiningOptions& options,
                              const MiningContext& context,
-                             MiningScratch* scratch) {
-  return MineCore(tree, options, context, scratch);
+                             MiningScratch* scratch, SweepShape shape) {
+  return MineCore(tree, options, shape, context, scratch);
 }
 
 }  // namespace internal
@@ -368,7 +425,8 @@ Status MineSingleTreeScratch(const Tree& tree, const MiningOptions& options,
 std::vector<CousinPairItem> MineSingleTreeUnordered(
     const Tree& tree, const MiningOptions& options) {
   MiningScratch scratch;
-  MineCore(tree, options, MiningContext::Unlimited(), &scratch);
+  MineCore(tree, options, SweepShape::kRooted, MiningContext::Unlimited(),
+           &scratch);
   return std::move(scratch.items);
 }
 
@@ -384,7 +442,8 @@ SingleTreeMiningRun MineSingleTreeGovernedUnordered(
     const MiningContext& context) {
   MiningScratch scratch;
   SingleTreeMiningRun run;
-  run.termination = MineCore(tree, options, context, &scratch);
+  run.termination =
+      MineCore(tree, options, SweepShape::kRooted, context, &scratch);
   run.truncated = !run.termination.ok();
   run.items = std::move(scratch.items);
   return run;

@@ -6,7 +6,9 @@
 // child subtrees, so — unlike the paper's Fig. 3 transcription
 // (paper_mining.h) — it needs no duplicate-suppression set. Output is
 // identical (property-tested against both reference miners) and the
-// worst case matches the paper's O(|T|²) bound.
+// worst case matches the paper's O(|T|²) bound. The same sweep mines
+// free trees (§6) by folding (up, down) level combinations in place of
+// Eq. (1)–(3)'s pairs (internal::SweepShape).
 
 #ifndef COUSINS_CORE_SINGLE_TREE_MINING_H_
 #define COUSINS_CORE_SINGLE_TREE_MINING_H_
@@ -68,9 +70,16 @@ namespace internal {
 /// that truncated the run — forest folds must then discard the partial
 /// items. Warm and cold scratches produce identical item sets; only
 /// the unspecified order may differ.
+///
+/// `shape` selects the edges the sweep reads: kFree mines `tree` as a
+/// free tree (§6, Eq. (7) distances; the forest pipeline's kFreeTree
+/// variant), and kFreeEdgeRoot additionally takes the unlabeled root
+/// as the subdivision of a free-tree edge (Fig. 11, Eq. (10)). Both
+/// equal MineFreeTreeBfs on the free tree they read.
 Status MineSingleTreeScratch(const Tree& tree, const MiningOptions& options,
                              const MiningContext& context,
-                             MiningScratch* scratch);
+                             MiningScratch* scratch,
+                             SweepShape shape = SweepShape::kRooted);
 
 }  // namespace internal
 

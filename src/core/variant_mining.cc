@@ -7,8 +7,8 @@
 #include <utility>
 
 #include "core/cousin_distance.h"
-#include "core/kernel_dispatch.h"
 #include "core/level_sweep.h"
+#include "core/pair_count_map.h"
 #include "tree/lca.h"
 #include "util/overflow.h"
 
@@ -76,124 +76,6 @@ int32_t ClampWeightBucket(double weighted_path, double bucket_width) {
   }
   if (q < -2147483648.0) return std::numeric_limits<int32_t>::min();
   return static_cast<int32_t>(q);
-}
-
-Status MineFreeVariantScratch(const Tree& tree, const MiningOptions& options,
-                              const MiningContext& context,
-                              VariantScratch* scratch) {
-  std::vector<CousinPairItem>& items = scratch->free_items;
-  items.clear();
-  if (tree.size() < 2 || options.twice_maxdist < 0) return Status::OK();
-
-  const size_t num_acc = static_cast<size_t>(options.twice_maxdist) + 1;
-  if (scratch->pair_acc.size() != num_acc) scratch->pair_acc.resize(num_acc);
-  for (PairCountMap& m : scratch->pair_acc) m.Clear();
-  scratch->dist.assign(tree.size(), -1);
-  scratch->queue.clear();
-  // Under a vector tier the per-source flush into the accumulators is
-  // batched per distance and drained behind grouped prefetch. The
-  // per-table Add order equals the scalar loop's per-table subsequence
-  // (BFS visit order), so table layouts stay identical across tiers.
-  const bool batched =
-      ActiveKernels().tier != SimdTier::kScalar && tree.size() >= 16;
-  if (batched) {
-    if (scratch->flush_keys.size() < num_acc) {
-      scratch->flush_keys.resize(num_acc);
-    }
-    for (std::vector<uint64_t>& keys : scratch->flush_keys) keys.clear();
-  }
-
-  // Eq. (7): c_dist = (path edges − 2) / 2, so the BFS frontier stops
-  // at twice_maxdist + 2 edges.
-  const int32_t max_edges = options.twice_maxdist + 2;
-  const bool governed = context.governed();
-  uint32_t node_tick = 0;
-  Status termination;
-
-  std::vector<int32_t>& dist = scratch->dist;
-  std::vector<NodeId>& queue = scratch->queue;
-  for (NodeId u = 0; u < tree.size(); ++u) {
-    if (!tree.has_label(u)) continue;
-    if (governed && (node_tick++ & 63u) == 0) {
-      int64_t entries = 0;
-      int64_t bytes = 0;
-      for (const PairCountMap& m : scratch->pair_acc) {
-        entries += static_cast<int64_t>(m.size());
-        bytes += static_cast<int64_t>(m.capacity()) * 16;
-      }
-      Status st = CheckGovernance(context, entries, bytes);
-      if (!st.ok()) {
-        termination = std::move(st);
-        break;
-      }
-    }
-    // Bounded BFS from u over the tree read as an undirected graph
-    // (parent edge + child edges), mirroring MineFreeTreeBfs.
-    std::fill(dist.begin(), dist.end(), -1);
-    queue.clear();
-    queue.push_back(u);
-    dist[u] = 0;
-    for (size_t qi = 0; qi < queue.size(); ++qi) {
-      const NodeId v = queue[qi];
-      if (dist[v] == max_edges) continue;
-      if (v != tree.root() && dist[tree.parent(v)] == -1) {
-        dist[tree.parent(v)] = dist[v] + 1;
-        queue.push_back(tree.parent(v));
-      }
-      for (NodeId w : tree.children(v)) {
-        if (dist[w] == -1) {
-          dist[w] = dist[v] + 1;
-          queue.push_back(w);
-        }
-      }
-    }
-    if (batched) {
-      for (NodeId v : queue) {
-        if (v <= u || !tree.has_label(v)) continue;
-        const int twice_d = dist[v] - 2;
-        if (twice_d < 0 || twice_d > options.twice_maxdist) continue;
-        scratch->flush_keys[twice_d].push_back(
-            PackLabelPair(tree.label(u), tree.label(v)));
-      }
-      for (size_t d = 0; d < num_acc; ++d) {
-        std::vector<uint64_t>& keys = scratch->flush_keys[d];
-        if (keys.empty()) continue;
-        FlushUnitAdds(&scratch->pair_acc[d], keys.data(), keys.size());
-        keys.clear();
-      }
-    } else {
-      for (NodeId v : queue) {
-        if (v <= u || !tree.has_label(v)) continue;
-        const int twice_d = dist[v] - 2;
-        if (twice_d < 0 || twice_d > options.twice_maxdist) continue;
-        scratch->pair_acc[twice_d].Add(
-            PackLabelPair(tree.label(u), tree.label(v)), 1);
-      }
-    }
-  }
-
-  const int64_t max_items = context.budget().max_items;
-  bool item_cap_hit = false;
-  // Same early exit as MineCore: once the cap trips, the remaining
-  // accumulators cannot contribute.
-  for (int twice_d = 0;
-       twice_d <= options.twice_maxdist && !item_cap_hit; ++twice_d) {
-    scratch->pair_acc[twice_d].ForEach([&](uint64_t key, int64_t count) {
-      if (count >= options.min_occur && count > 0) {
-        if (static_cast<int64_t>(items.size()) >= max_items) {
-          item_cap_hit = true;
-          return;
-        }
-        items.push_back(CousinPairItem{UnpackFirst(key), UnpackSecond(key),
-                                       twice_d, count});
-      }
-    });
-  }
-  if (item_cap_hit && termination.ok()) {
-    termination = ItemCapStatus(max_items);
-  }
-  CanonicalizeItems(&items);
-  return termination;
 }
 
 Status MineGeneralizedScratch(const Tree& tree, const MiningOptions& options,

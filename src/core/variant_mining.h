@@ -1,11 +1,12 @@
-// Governed per-tree folds for the non-cousin miner variants
-// (core/miner_variant.h): free-tree (§6), generalized (§2 caps) and
-// weighted (§7 future work (i)) reductions of one tree to pair items,
-// with the same contract as internal::MineSingleTreeScratch — reusable
-// scratch, cooperative MiningContext checkpoints, bit-identical items
-// whether governed or not, and a half-mined tree discarded on a trip.
-// The forest pipeline (MultiTreeMiner) dispatches on its variant to
-// exactly one of these per tree.
+// Governed per-tree folds for the generalized (§2 caps) and weighted
+// (§7 future work (i)) miner variants (core/miner_variant.h):
+// reductions of one tree to pair items with the same contract as
+// internal::MineSingleTreeScratch — reusable scratch, cooperative
+// MiningContext checkpoints, bit-identical items whether governed or
+// not, and a half-mined tree discarded on a trip. The cousin and
+// free-tree (§6) variants run MineSingleTreeScratch itself. The forest
+// pipeline (MultiTreeMiner) dispatches on its variant to exactly one
+// fold per tree.
 //
 // All occurrence arithmetic here is saturating (util/overflow.h):
 // the legacy variant miners' raw ++/*/- on counts were signed-overflow
@@ -20,7 +21,6 @@
 #include "core/cousin_pair.h"
 #include "core/generalized_mining.h"
 #include "core/miner_variant.h"
-#include "core/pair_count_map.h"
 #include "core/tally_map.h"
 #include "core/weighted_mining.h"
 #include "tree/tree.h"
@@ -66,16 +66,6 @@ int32_t ClampWeightBucket(double weighted_path, double bucket_width);
 /// MiningScratch). Treat as opaque outside variant_mining.cc except
 /// for the *_items vectors, which hold the most recent call's output.
 struct VariantScratch {
-  // Free-tree fold: bounded-BFS state over the tree-as-free-tree plus
-  // one pair accumulator per twice-distance.
-  std::vector<int32_t> dist;
-  std::vector<NodeId> queue;
-  std::vector<PairCountMap> pair_acc;
-  std::vector<CousinPairItem> free_items;
-  /// Per-distance key batches for the vector-tier accumulator flush
-  /// (empty and unused under the scalar tier).
-  std::vector<std::vector<uint64_t>> flush_keys;
-
   // Generalized fold: one (pair, aux=(h,v)) accumulator.
   AuxTallyMap gen_acc;
   std::vector<GeneralizedPairItem> gen_items;
@@ -90,23 +80,11 @@ struct VariantScratch {
   /// the steady-state-no-growth regression signal, mirroring
   /// MiningScratch::AccumulatorRehashes.
   int64_t AccumulatorRehashes() const {
-    int64_t total = 0;
-    for (const PairCountMap& m : pair_acc) total += m.stats().rehashes;
-    total += gen_acc.stats().grows;
+    int64_t total = gen_acc.stats().grows;
     for (const AuxTallyMap& m : weighted_acc) total += m.stats().grows;
     return total;
   }
 };
-
-/// §6 cousin mining of `tree` read as a free tree (orientation
-/// forgotten): items are (labels, Eq. (7) twice-distance, occurrences),
-/// written to scratch->free_items in canonical order. Equivalent to
-/// MineFreeTreeBfs on FreeTree::FromRootedTree(tree). Governance is
-/// checked once per BFS source node; on a trip the items are garbage
-/// and the caller must discard the tree.
-Status MineFreeVariantScratch(const Tree& tree, const MiningOptions& options,
-                              const MiningContext& context,
-                              VariantScratch* scratch);
 
 /// Generalized cousin mining of `tree` under the (h, v) caps; items in
 /// canonical order in scratch->gen_items, filtered by

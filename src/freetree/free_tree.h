@@ -72,8 +72,8 @@ class FreeTree {
   /// distance-preserving: the path length between any two nodes equals
   /// their free-tree path length. Node ids are renumbered to preorder;
   /// labels are shared. This is the per-graph conversion the forest
-  /// pipeline's free-tree variant mines (the variant's BFS reads the
-  /// rooted tree as an undirected graph again, so any root works).
+  /// pipeline's free-tree variant mines (its level sweep pairs nodes
+  /// by path length through their LCA, so any root works).
   Tree ToRootedTree() const;
 
  private:

@@ -5,59 +5,24 @@
 #include <utility>
 
 #include "core/parallel_mining.h"
-#include "tree/lca.h"
+#include "core/single_tree_mining.h"
 
 namespace cousins {
-namespace {
-
-using Accumulator =
-    std::unordered_map<CousinPairKey, int64_t, CousinPairKeyHash>;
-
-std::vector<CousinPairItem> Finalize(const Accumulator& acc,
-                                     int64_t min_occur) {
-  std::vector<CousinPairItem> items;
-  items.reserve(acc.size());
-  for (const auto& [key, count] : acc) {
-    if (count >= min_occur) {
-      items.push_back(CousinPairItem{key.label1, key.label2,
-                                     key.twice_distance, count});
-    }
-  }
-  CanonicalizeItems(&items);
-  return items;
-}
-
-}  // namespace
 
 std::vector<CousinPairItem> MineFreeTree(const FreeTree& graph,
                                          const MiningOptions& options,
                                          int32_t root_edge_index) {
   if (graph.size() < 2 || options.twice_maxdist < 0) return {};
-
+  // Fig. 11: subdivide the chosen edge with an artificial root and run
+  // the rooted level sweep over (up, down) combinations, Eq. (10)
+  // shortening the paths that cross the root.
   const FreeTree::Rooted rooted = graph.RootAtEdge(root_edge_index);
-  const Tree& tree = rooted.tree;
-  const NodeId root = tree.root();
-  LcaIndex lca(tree);
-
-  Accumulator acc;
-  for (NodeId u = 0; u < tree.size(); ++u) {
-    if (!tree.has_label(u)) continue;
-    for (NodeId v = u + 1; v < tree.size(); ++v) {
-      if (!tree.has_label(v)) continue;
-      const NodeId a = lca.Lca(u, v);
-      int32_t edges = tree.depth(u) + tree.depth(v) - 2 * tree.depth(a);
-      // Eq. (10): a path through the artificial root crosses the
-      // subdivided edge of Fig. 11, which counts one edge in G but two
-      // in T_r.
-      if (a == root) edges -= 1;
-      const int twice_d = edges - 2;  // Eq. (7) doubled
-      if (twice_d < 0 || twice_d > options.twice_maxdist) continue;
-      CousinPairKey key{std::min(tree.label(u), tree.label(v)),
-                        std::max(tree.label(u), tree.label(v)), twice_d};
-      ++acc[key];
-    }
-  }
-  return Finalize(acc, options.min_occur);
+  internal::MiningScratch scratch;
+  internal::MineSingleTreeScratch(rooted.tree, options,
+                                  MiningContext::Unlimited(), &scratch,
+                                  internal::SweepShape::kFreeEdgeRoot);
+  CanonicalizeItems(&scratch.items);
+  return std::move(scratch.items);
 }
 
 std::vector<CousinPairItem> MineFreeTreeBfs(const FreeTree& graph,
@@ -65,13 +30,13 @@ std::vector<CousinPairItem> MineFreeTreeBfs(const FreeTree& graph,
   if (graph.size() < 2 || options.twice_maxdist < 0) return {};
   const int32_t max_edges = options.twice_maxdist + 2;
 
-  Accumulator acc;
-  std::vector<int32_t> dist(graph.size());
+  std::unordered_map<CousinPairKey, int64_t, CousinPairKeyHash> acc;
+  std::vector<int32_t> dist(graph.size(), -1);
   std::vector<int32_t> queue;
   for (int32_t u = 0; u < graph.size(); ++u) {
     if (!graph.has_label(u)) continue;
-    // Bounded BFS from u.
-    std::fill(dist.begin(), dist.end(), -1);
+    // Bounded BFS from u; the previous source's visits are its queue.
+    for (int32_t v : queue) dist[v] = -1;
     queue.clear();
     queue.push_back(u);
     dist[u] = 0;
@@ -94,16 +59,25 @@ std::vector<CousinPairItem> MineFreeTreeBfs(const FreeTree& graph,
       ++acc[key];
     }
   }
-  return Finalize(acc, options.min_occur);
+  std::vector<CousinPairItem> items;
+  items.reserve(acc.size());
+  for (const auto& [key, count] : acc) {
+    if (count >= options.min_occur) {
+      items.push_back(CousinPairItem{key.label1, key.label2,
+                                     key.twice_distance, count});
+    }
+  }
+  CanonicalizeItems(&items);
+  return items;
 }
 
 Result<std::vector<FrequentCousinPair>> MineMultipleFreeTrees(
     const std::vector<FreeTree>& graphs,
     const MultiTreeMiningOptions& options) {
   // Delegate to the production forest pipeline: the kFreeTree variant
-  // of MultiTreeMiner mines each rooted conversion with the same
-  // bounded BFS as MineFreeTreeBfs (ToRootedTree preserves path
-  // lengths) and folds into the shared saturating tally tables. Mixed
+  // of MultiTreeMiner reads each rooted conversion as a free tree again
+  // (ToRootedTree preserves path lengths), mines it on the level sweep
+  // and folds into the shared saturating tally tables. Mixed
   // label tables surface as kInvalidArgument from the pipeline's
   // identity check — the old hand-rolled loop aborted the process.
   std::vector<Tree> trees;

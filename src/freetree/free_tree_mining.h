@@ -6,10 +6,13 @@
 // so adjacent nodes (n = 1, the parent-child analog) are excluded and
 // distances again step by 0.5. MineFreeTree implements the paper's
 // algorithm: pick an edge, subdivide it with an artificial root
-// (Fig. 11), and enumerate (up, down) level combinations — with the
-// Eq. (10) correction for paths crossing the inserted root.
-// MineFreeTreeBfs is the direct path-length reference; both are
-// property-tested to agree and to be independent of the chosen edge.
+// (Fig. 11), and enumerate (up, down) level combinations at each LCA
+// on the rooted miner's level sweep (single_tree_mining.h) — with the
+// Eq. (10) correction for paths crossing the inserted root. Its cost
+// follows the output, not the number of node pairs. MineFreeTreeBfs
+// is the direct path-length reference, kept as the test oracle; both
+// are property-tested to agree and to be independent of the chosen
+// edge.
 
 #ifndef COUSINS_FREETREE_FREE_TREE_MINING_H_
 #define COUSINS_FREETREE_FREE_TREE_MINING_H_
@@ -28,7 +31,8 @@ std::vector<CousinPairItem> MineFreeTree(const FreeTree& graph,
                                          const MiningOptions& options = {},
                                          int32_t root_edge_index = 0);
 
-/// Reference implementation: per-node BFS up to the distance cutoff.
+/// Reference implementation (the test oracle): a BFS from every
+/// labeled node up to the distance cutoff.
 std::vector<CousinPairItem> MineFreeTreeBfs(
     const FreeTree& graph, const MiningOptions& options = {});
 
@@ -36,7 +40,8 @@ std::vector<CousinPairItem> MineFreeTreeBfs(
 /// frequent cousin pairs in multiple graphs": support counting over a
 /// set of free trees, with the same semantics as MineMultipleTrees.
 /// Runs the production forest pipeline (MultiTreeMiner, kFreeTree
-/// variant) over distance-preserving rootings of the graphs. Graphs
+/// variant: the level sweep reading each tree as a free tree) over
+/// distance-preserving rootings of the graphs. Graphs
 /// over different label tables are a kInvalidArgument — previously an
 /// abort, which violated the library's no-abort contract for input
 /// errors. options.variant is overridden to kFreeTree.

@@ -2,6 +2,7 @@
 
 #include "freetree/free_tree.h"
 #include "freetree/free_tree_mining.h"
+#include "free_tree_shapes.h"
 #include "gen/uniform_generator.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -137,6 +138,41 @@ TEST(FreeTreeMiningTest, SingleNodeAndSingleEdge) {
   // Two adjacent nodes: no cousin pairs.
   EXPECT_TRUE(MineFreeTree(two).empty());
   EXPECT_TRUE(MineFreeTreeBfs(two).empty());
+}
+
+// §6 as written — subdivide an edge (Fig. 11), sweep (up, down) level
+// combinations, Eq. (10) at the root — against the BFS oracle over the
+// shape and option grid under both SIMD tiers, for every root edge.
+// The two large shapes (a 520-leaf star, a 2,200-node tree) take every
+// k-th edge with about eight edges each: a root edge costs them a full
+// mining run, and their edges differ only in where the root falls.
+TEST(FreeTreeMiningTest, EveryRootEdgeMatchesBfsOracle) {
+  testing_util::SimdModeGuard guard;
+  for (const testing_util::NamedTree& shape :
+       testing_util::FreeTreeShapes()) {
+    const FreeTree g = FreeTree::FromRootedTree(shape.tree);
+    const int32_t stride = g.edge_count() > 200 ? g.edge_count() / 7 : 1;
+    for (int twice_maxdist : testing_util::kFreeTwiceMaxdists) {
+      for (int64_t min_occur : {1, 2}) {
+        MiningOptions mopt;
+        mopt.twice_maxdist = twice_maxdist;
+        mopt.min_occur = min_occur;
+        const std::vector<CousinPairItem> oracle = MineFreeTreeBfs(g, mopt);
+        for (SimdMode mode : testing_util::kFreeSimdModes) {
+          SetSimdMode(mode);
+          if (g.edge_count() == 0) {
+            EXPECT_EQ(MineFreeTree(g, mopt), oracle) << shape.name;
+          }
+          for (int32_t e = 0; e < g.edge_count(); e += stride) {
+            EXPECT_EQ(MineFreeTree(g, mopt, e), oracle)
+                << shape.name << " edge " << e << " twice_maxdist "
+                << twice_maxdist << " min_occur " << min_occur << " mode "
+                << SimdModeName(mode);
+          }
+        }
+      }
+    }
+  }
 }
 
 class FreeTreeProperty : public ::testing::TestWithParam<uint64_t> {};

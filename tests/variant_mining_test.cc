@@ -10,11 +10,13 @@
 #include <vector>
 
 #include "core/generalized_mining.h"
+#include "core/kernel_dispatch.h"
 #include "core/single_tree_mining.h"
 #include "core/tally_map.h"
 #include "core/variant_mining.h"
 #include "freetree/free_tree.h"
 #include "freetree/free_tree_mining.h"
+#include "free_tree_shapes.h"
 #include "gen/uniform_generator.h"
 #include "test_util.h"
 #include "tree/builder.h"
@@ -24,17 +26,35 @@
 namespace cousins {
 namespace {
 
-using internal::MineFreeVariantScratch;
 using internal::MineGeneralizedScratch;
+using internal::MineSingleTreeScratch;
 using internal::AuxKey;
 using internal::AuxTallyMap;
+using internal::MiningScratch;
 using internal::PackBucket;
 using internal::PackHV;
+using internal::SweepShape;
 using internal::UnpackBucket;
 using internal::UnpackH;
 using internal::UnpackV;
 using internal::VariantScratch;
+using testing_util::FreeTreeShapes;
 using testing_util::MustParse;
+using testing_util::NamedTree;
+using testing_util::SimdModeGuard;
+
+/// The kFreeTree per-tree fold — the level sweep reading `tree` as a
+/// free tree — through `scratch`, in canonical order.
+std::vector<CousinPairItem> MineFreeSweep(const Tree& tree,
+                                          const MiningOptions& options,
+                                          MiningScratch* scratch) {
+  EXPECT_TRUE(MineSingleTreeScratch(tree, options, MiningContext::Unlimited(),
+                                    scratch, SweepShape::kFree)
+                  .ok());
+  std::vector<CousinPairItem> items = scratch->items;
+  CanonicalizeItems(&items);
+  return items;
+}
 
 constexpr int64_t kMax64 = std::numeric_limits<int64_t>::max();
 constexpr int64_t kMin64 = std::numeric_limits<int64_t>::min();
@@ -152,11 +172,8 @@ TEST(FreeVariantTest, MatchesFreeTreeBfsReference) {
     for (int twice_maxdist : {0, 3, 6}) {
       MiningOptions mopt;
       mopt.twice_maxdist = twice_maxdist;
-      VariantScratch scratch;
-      ASSERT_TRUE(MineFreeVariantScratch(t, mopt, MiningContext::Unlimited(),
-                                         &scratch)
-                      .ok());
-      EXPECT_EQ(scratch.free_items,
+      MiningScratch scratch;
+      EXPECT_EQ(MineFreeSweep(t, mopt, &scratch),
                 MineFreeTreeBfs(FreeTree::FromRootedTree(t), mopt))
           << "seed " << seed << " twice_maxdist " << twice_maxdist;
     }
@@ -175,14 +192,116 @@ TEST(FreeVariantTest, EveryRootEdgeAgreesWithTheFold) {
   FreeTree g = FreeTree::FromRootedTree(t);
   MiningOptions mopt;
   mopt.twice_maxdist = 5;
-  VariantScratch scratch;
-  ASSERT_TRUE(
-      MineFreeVariantScratch(t, mopt, MiningContext::Unlimited(), &scratch)
-          .ok());
+  MiningScratch scratch;
   const std::vector<CousinPairItem> reference = MineFreeTreeBfs(g, mopt);
-  EXPECT_EQ(scratch.free_items, reference);
+  EXPECT_EQ(MineFreeSweep(t, mopt, &scratch), reference);
   for (int32_t e = 0; e < g.edge_count(); ++e) {
     EXPECT_EQ(MineFreeTree(g, mopt, e), reference) << "root edge " << e;
+  }
+}
+
+// The kFreeTree fold against the BFS oracle over the whole shape and
+// option grid, under the scalar (hash) and auto (dense where the labels
+// fit) tiers, all through one warm scratch.
+TEST(FreeSweepTest, MatchesBfsOracleAcrossShapesAndOptions) {
+  SimdModeGuard guard;
+  const std::vector<NamedTree> shapes = FreeTreeShapes();
+  EXPECT_GT(testing_util::DistinctLabels(shapes.back().tree), 1024);
+  MiningScratch scratch;
+  for (const NamedTree& shape : shapes) {
+    const FreeTree g = FreeTree::FromRootedTree(shape.tree);
+    for (int twice_maxdist : testing_util::kFreeTwiceMaxdists) {
+      for (int64_t min_occur : {1, 2}) {
+        MiningOptions mopt;
+        mopt.twice_maxdist = twice_maxdist;
+        mopt.min_occur = min_occur;
+        const std::vector<CousinPairItem> oracle = MineFreeTreeBfs(g, mopt);
+        for (SimdMode mode : testing_util::kFreeSimdModes) {
+          SetSimdMode(mode);
+          EXPECT_EQ(MineFreeSweep(shape.tree, mopt, &scratch), oracle)
+              << shape.name << " twice_maxdist " << twice_maxdist
+              << " min_occur " << min_occur << " mode "
+              << SimdModeName(mode);
+        }
+      }
+    }
+  }
+}
+
+// The fold mines the unordered tree: shuffling every node's children
+// (which renumbers the nodes and reorders every level set) leaves the
+// items unchanged.
+TEST(FreeSweepTest, ChildOrderDoesNotChangeTheItems) {
+  SimdModeGuard guard;
+  Rng rng(7);
+  MiningScratch scratch;
+  for (const NamedTree& shape : FreeTreeShapes()) {
+    const Tree shuffled = testing_util::ShuffleChildren(shape.tree, rng);
+    for (int twice_maxdist : {0, 3, 8}) {
+      MiningOptions mopt;
+      mopt.twice_maxdist = twice_maxdist;
+      for (SimdMode mode : testing_util::kFreeSimdModes) {
+        SetSimdMode(mode);
+        EXPECT_EQ(MineFreeSweep(shuffled, mopt, &scratch),
+                  MineFreeSweep(shape.tree, mopt, &scratch))
+            << shape.name << " twice_maxdist " << twice_maxdist << " mode "
+            << SimdModeName(mode);
+      }
+    }
+  }
+}
+
+// A governance trip partway through a free tree leaves un-emitted
+// accumulator cells behind — under the dense tier, cells holding the
+// +-2 off-diagonal contributions. The next tree through the same
+// scratch (free, or rooted on the rebuilt plan) must still get exactly
+// a fresh scratch's items.
+TEST(FreeSweepTest, TripLeavesNoResidueForTheNextTree) {
+  SimdModeGuard guard;
+  auto labels = std::make_shared<LabelTable>();
+  UniformTreeOptions opts;
+  opts.tree_size = 300;
+  opts.alphabet_size = 40;
+  Rng rng(5);
+  const Tree first = GenerateUniformTree(opts, rng, labels);
+  const Tree second = GenerateUniformTree(opts, rng, labels);
+  MiningOptions mopt;
+  mopt.twice_maxdist = 5;
+  for (SimdMode mode : testing_util::kFreeSimdModes) {
+    SetSimdMode(mode);
+    MiningScratch fresh;
+    const std::vector<CousinPairItem> first_items =
+        MineFreeSweep(first, mopt, &fresh);
+    const std::vector<CousinPairItem> second_items =
+        MineFreeSweep(second, mopt, &fresh);
+    ASSERT_GT(first_items.size(), 100u);
+    ResourceBudget item_cap;
+    item_cap.max_items = static_cast<int64_t>(first_items.size() / 2);
+    ResourceBudget entry_cap;
+    entry_cap.max_pair_map_entries = 16;
+    for (const ResourceBudget& budget : {item_cap, entry_cap}) {
+      MiningContext context;
+      context.set_budget(budget);
+      MiningScratch scratch;
+      EXPECT_EQ(MineSingleTreeScratch(first, mopt, context, &scratch,
+                                      SweepShape::kFree)
+                    .code(),
+                StatusCode::kResourceExhausted);
+      EXPECT_EQ(MineFreeSweep(second, mopt, &scratch), second_items)
+          << SimdModeName(mode);
+      ASSERT_EQ(MineSingleTreeScratch(first, mopt, context, &scratch,
+                                      SweepShape::kFree)
+                    .code(),
+                StatusCode::kResourceExhausted);
+      ASSERT_TRUE(MineSingleTreeScratch(second, mopt,
+                                        MiningContext::Unlimited(), &scratch)
+                      .ok());
+      std::vector<CousinPairItem> rooted = scratch.items;
+      CanonicalizeItems(&rooted);
+      EXPECT_EQ(rooted, MineSingleTree(second, mopt)) << SimdModeName(mode);
+      EXPECT_EQ(MineFreeSweep(first, mopt, &scratch), first_items)
+          << SimdModeName(mode);
+    }
   }
 }
 

@@ -16,7 +16,9 @@
 # the dense accumulator and the scalar tails), a two-star forest whose
 # sibling pairs outgrow the presized forest tally in the middle of one
 # tree's fold, and the committed phylogeny corpora, under both modes,
-# and byte-compares every output pair.
+# and byte-compares every output pair. The first two forests are also
+# mined with the free-tree miner (--miner=free), which runs the same
+# per-LCA kernels, dense tier included.
 #
 # On hardware without AVX2 the drill prints a loud skip notice and
 # exits 0: there is nothing to cross-check when only one dispatch path
@@ -77,23 +79,35 @@ compare() {
        "($(wc -c < "$WORK/scalar.out") bytes)"
 }
 
+expect_rows() {
+  # expect_rows <label> <n>: the last compared CSV has n data rows.
+  local rows=$(($(wc -l < "$WORK/scalar.out") - 1))
+  if [ "$rows" -ne "$2" ]; then
+    echo "FAIL: $1 has $rows rows, want $2"
+    exit 1
+  fi
+}
+
 compare "synthetic frequent CSV" frequent "$FOREST" --csv --minsup=2
 compare "synthetic mine listing" mine "$FOREST"
+compare "synthetic free-tree frequent CSV" \
+  frequent "$FOREST" --csv --minsup=2 --miner=free
 
 # Two identical stars over 520 distinct leaf labels: 520·519/2 = 134,940
 # sibling pairs at support 2, more than the distance-0 tally is presized
 # for, so the forest fold grows that table mid-tree. Every pair must
-# reach the CSV under both modes.
+# reach the CSV under both modes. Read as free trees the leaves are two
+# edges apart (distance 0 again) and the unlabeled hub pairs with none,
+# so the free-tree miner must give the same 134,940 rows.
 STARS="$WORK/two_stars.nwk"
 STAR="($(seq -f 'leaf%g' 0 519 | paste -sd,));"
 printf '%s\n%s\n' "$STAR" "$STAR" > "$STARS"
 compare "two-star frequent CSV" \
   frequent "$STARS" --csv --maxdist=1.5 --minsup=2 --threads=1
-rows=$(($(wc -l < "$WORK/scalar.out") - 1))
-if [ "$rows" -ne 134940 ]; then
-  echo "FAIL: two-star frequent CSV has $rows rows, want 134940"
-  exit 1
-fi
+expect_rows "two-star frequent CSV" 134940
+compare "two-star free-tree frequent CSV" \
+  frequent "$STARS" --csv --maxdist=1.5 --minsup=2 --threads=1 --miner=free
+expect_rows "two-star free-tree frequent CSV" 134940
 
 HERE=$(cd "$(dirname "$0")" && pwd)
 compare "seed_plants frequent CSV" \
