@@ -420,14 +420,23 @@ Status MineSingleTreeScratch(const Tree& tree, const MiningOptions& options,
   return MineCore(tree, options, shape, context, scratch);
 }
 
+Status MineOneShot(const Tree& tree, const MiningOptions& options,
+                   const MiningContext& context, SweepShape shape,
+                   std::vector<CousinPairItem>* items) {
+  thread_local MiningScratch scratch;
+  Status termination = MineCore(tree, options, shape, context, &scratch);
+  *items = std::move(scratch.items);
+  return termination;
+}
+
 }  // namespace internal
 
 std::vector<CousinPairItem> MineSingleTreeUnordered(
     const Tree& tree, const MiningOptions& options) {
-  MiningScratch scratch;
-  MineCore(tree, options, SweepShape::kRooted, MiningContext::Unlimited(),
-           &scratch);
-  return std::move(scratch.items);
+  std::vector<CousinPairItem> items;
+  internal::MineOneShot(tree, options, MiningContext::Unlimited(),
+                        SweepShape::kRooted, &items);
+  return items;
 }
 
 std::vector<CousinPairItem> MineSingleTree(const Tree& tree,
@@ -440,12 +449,10 @@ std::vector<CousinPairItem> MineSingleTree(const Tree& tree,
 SingleTreeMiningRun MineSingleTreeGovernedUnordered(
     const Tree& tree, const MiningOptions& options,
     const MiningContext& context) {
-  MiningScratch scratch;
   SingleTreeMiningRun run;
-  run.termination =
-      MineCore(tree, options, SweepShape::kRooted, context, &scratch);
+  run.termination = internal::MineOneShot(tree, options, context,
+                                          SweepShape::kRooted, &run.items);
   run.truncated = !run.termination.ok();
-  run.items = std::move(scratch.items);
   return run;
 }
 

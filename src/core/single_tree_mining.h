@@ -38,7 +38,9 @@ std::vector<CousinPairItem> MineSingleTreeUnordered(
 /// output); on a governance trip (kCancelled / kDeadlineExceeded /
 /// kResourceExhausted) `truncated` is true and `items` holds the
 /// partial tally accumulated up to the trip point — a subset-with-
-/// undercounts of the full result, still canonically ordered.
+/// undercounts of the full result, still canonically ordered. Which
+/// items an item-cap trip keeps follows the unspecified emit order,
+/// which may depend on the trees this thread mined before.
 struct SingleTreeMiningRun {
   std::vector<CousinPairItem> items;
   bool truncated = false;
@@ -80,6 +82,17 @@ Status MineSingleTreeScratch(const Tree& tree, const MiningOptions& options,
                              const MiningContext& context,
                              MiningScratch* scratch,
                              SweepShape shape = SweepShape::kRooted);
+
+/// MineSingleTreeScratch on this thread's one-shot scratch, with the
+/// items moved out into `*items`. Every one-shot entry point (the
+/// MineSingleTree family, MineFreeTree) mines here, so repeated calls
+/// on one thread reuse the level vectors, accumulators and dense
+/// arrays instead of building them per tree. The scratch lives as long
+/// as the thread and keeps the buffers of the largest tree it mined.
+/// Not reentrant: nothing the sweep calls may mine on the same thread.
+Status MineOneShot(const Tree& tree, const MiningOptions& options,
+                   const MiningContext& context, SweepShape shape,
+                   std::vector<CousinPairItem>* items);
 
 }  // namespace internal
 

@@ -17,12 +17,11 @@ std::vector<CousinPairItem> MineFreeTree(const FreeTree& graph,
   // the rooted level sweep over (up, down) combinations, Eq. (10)
   // shortening the paths that cross the root.
   const FreeTree::Rooted rooted = graph.RootAtEdge(root_edge_index);
-  internal::MiningScratch scratch;
-  internal::MineSingleTreeScratch(rooted.tree, options,
-                                  MiningContext::Unlimited(), &scratch,
-                                  internal::SweepShape::kFreeEdgeRoot);
-  CanonicalizeItems(&scratch.items);
-  return std::move(scratch.items);
+  std::vector<CousinPairItem> items;
+  internal::MineOneShot(rooted.tree, options, MiningContext::Unlimited(),
+                        internal::SweepShape::kFreeEdgeRoot, &items);
+  CanonicalizeItems(&items);
+  return items;
 }
 
 std::vector<CousinPairItem> MineFreeTreeBfs(const FreeTree& graph,

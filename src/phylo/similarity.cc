@@ -1,52 +1,48 @@
 #include "phylo/similarity.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <unordered_map>
 #include <utility>
 
 #include "core/single_tree_mining.h"
 #include "obs/governance_events.h"
 
 namespace cousins {
-namespace {
-
-struct LabelPairHash {
-  size_t operator()(const std::pair<LabelId, LabelId>& p) const {
-    return static_cast<size_t>(
-        (static_cast<uint64_t>(static_cast<uint32_t>(p.first)) << 32 |
-         static_cast<uint32_t>(p.second)) *
-        0x9E3779B97F4A7C15ULL);
-  }
-};
-
-/// label pair -> minimum twice-distance among its items.
-std::unordered_map<std::pair<LabelId, LabelId>, int, LabelPairHash>
-MinDistances(const std::vector<CousinPairItem>& items) {
-  std::unordered_map<std::pair<LabelId, LabelId>, int, LabelPairHash> out;
-  for (const CousinPairItem& item : items) {
-    auto [it, inserted] =
-        out.try_emplace({item.label1, item.label2}, item.twice_distance);
-    if (!inserted && item.twice_distance < it->second) {
-      it->second = item.twice_distance;
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 double CousinSimilarityScore(const std::vector<CousinPairItem>& consensus,
                              const std::vector<CousinPairItem>& original) {
-  const auto dist_c = MinDistances(consensus);
-  const auto dist_t = MinDistances(original);
+  COUSINS_DCHECK(std::is_sorted(consensus.begin(), consensus.end()));
+  COUSINS_DCHECK(std::is_sorted(original.begin(), original.end()));
+  // Canonical order groups each label pair into one run, distances
+  // ascending, so the run's first item holds the pair's minimum.
+  auto pair_of = [](const CousinPairItem& item) {
+    return std::make_pair(item.label1, item.label2);
+  };
+  auto skip_run = [&](const std::vector<CousinPairItem>& items, size_t i) {
+    const auto pair = pair_of(items[i]);
+    while (i < items.size() && pair_of(items[i]) == pair) ++i;
+    return i;
+  };
   double score = 0.0;
-  for (const auto& [pair, dc] : dist_c) {
-    auto it = dist_t.find(pair);
-    if (it == dist_t.end()) continue;
-    // twice-distances halve back to d; |Δd| = |Δ(2d)| / 2.
-    const double delta = std::abs(dc - it->second) / 2.0;
-    score += std::exp2(-delta);
+  size_t i = 0;
+  size_t j = 0;
+  while (i < consensus.size() && j < original.size()) {
+    const auto pc = pair_of(consensus[i]);
+    const auto pt = pair_of(original[j]);
+    if (pc < pt) {
+      i = skip_run(consensus, i);
+    } else if (pt < pc) {
+      j = skip_run(original, j);
+    } else {
+      // twice-distances halve back to d; |Δd| = |Δ(2d)| / 2.
+      const double delta =
+          std::abs(consensus[i].twice_distance - original[j].twice_distance) /
+          2.0;
+      score += std::exp2(-delta);
+      i = skip_run(consensus, i);
+      j = skip_run(original, j);
+    }
   }
   return score;
 }
@@ -61,15 +57,10 @@ double CousinSimilarityScore(const Tree& consensus, const Tree& original,
 double AverageSimilarityScore(const Tree& consensus,
                               const std::vector<Tree>& originals,
                               const MiningOptions& options) {
-  COUSINS_CHECK(!originals.empty());
-  const std::vector<CousinPairItem> consensus_items =
-      MineSingleTree(consensus, options);
-  double total = 0.0;
-  for (const Tree& original : originals) {
-    total += CousinSimilarityScore(consensus_items,
-                                   MineSingleTree(original, options));
-  }
-  return total / static_cast<double>(originals.size());
+  Result<SimilarityRun> run = AverageSimilarityScoreGoverned(
+      consensus, originals, options, MiningContext::Unlimited());
+  COUSINS_CHECK(run.ok() && "consensus evaluation on invalid input");
+  return run->average;
 }
 
 Result<SimilarityRun> AverageSimilarityScoreGoverned(

@@ -26,12 +26,16 @@ namespace cousins {
 double CousinSimilarityScore(const Tree& consensus, const Tree& original,
                              const MiningOptions& options = {});
 
-/// Same, over precomputed canonical item vectors (avoids re-mining).
+/// Same, over precomputed item vectors (avoids re-mining). Both must be
+/// canonical (MineSingleTree's order, CanonicalizeItems): the score is
+/// one linear merge over the two vectors, reading each label pair's
+/// minimum distance from the first item of its run.
 double CousinSimilarityScore(const std::vector<CousinPairItem>& consensus,
                              const std::vector<CousinPairItem>& original);
 
 /// Average similarity of a consensus against the parsimonious set it
-/// summarizes, Eq. (5): (Σ_T sim(C, T)) / |set|.
+/// summarizes, Eq. (5): (Σ_T sim(C, T)) / |set|. `originals` must be
+/// non-empty and share the consensus's LabelTable.
 double AverageSimilarityScore(const Tree& consensus,
                               const std::vector<Tree>& originals,
                               const MiningOptions& options = {});
@@ -49,7 +53,8 @@ struct SimilarityRun {
 /// AverageSimilarityScore under a resource-governance context. Empty
 /// `originals` or a label-table mismatch come back as kInvalidArgument
 /// instead of aborting; governance trips come back OK with a partial,
-/// truncated-flagged run.
+/// truncated-flagged run. AverageSimilarityScore is this run under
+/// MiningContext::Unlimited().
 Result<SimilarityRun> AverageSimilarityScoreGoverned(
     const Tree& consensus, const std::vector<Tree>& originals,
     const MiningOptions& options, const MiningContext& context);

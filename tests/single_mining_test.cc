@@ -1,9 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <memory>
+#include <thread>
+#include <vector>
+
+#include "core/kernel_dispatch.h"
 #include "core/naive_mining.h"
 #include "core/paper_mining.h"
 #include "core/single_tree_mining.h"
+#include "gen/yule_generator.h"
+#include "phylo/tree_distance.h"
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace cousins {
 namespace {
@@ -185,6 +194,200 @@ TEST(SingleTreeMiningTest, PaperAndNaiveMinersAgreeOnExamples) {
       auto naive = MineSingleTreeNaive(t, opt);
       EXPECT_EQ(fast, paper) << newick << " maxdist=" << twice_maxdist;
       EXPECT_EQ(fast, naive) << newick << " maxdist=" << twice_maxdist;
+    }
+  }
+}
+
+// The one-shot entry points mine on a per-thread scratch that outlives
+// the call. These tests disturb that scratch and check that the next
+// one-shot call still equals mining on a brand-new scratch.
+
+/// Canonical items of `tree` mined on a scratch nothing has touched.
+std::vector<CousinPairItem> FreshScratchItems(const Tree& tree,
+                                              const MiningOptions& options) {
+  internal::MiningScratch scratch;
+  EXPECT_TRUE(internal::MineSingleTreeScratch(tree, options,
+                                              MiningContext::Unlimited(),
+                                              &scratch)
+                  .ok());
+  CanonicalizeItems(&scratch.items);
+  return scratch.items;
+}
+
+Tree YuleTree(uint64_t seed, int32_t nodes, int32_t alphabet,
+              std::shared_ptr<LabelTable> labels) {
+  Rng rng(seed);
+  YulePhylogenyOptions opts;
+  opts.min_nodes = nodes;
+  opts.max_nodes = nodes;
+  opts.alphabet_size = alphabet;
+  return GenerateYulePhylogeny(opts, rng, std::move(labels));
+}
+
+/// Small and large trees with repeated labels and unlabeled internal
+/// nodes, mined after each disturbance.
+std::vector<Tree> ProbeTrees(std::shared_ptr<LabelTable> labels) {
+  std::vector<Tree> probes;
+  probes.push_back(MustParse("((b,c)x,(b,c)y,(a,a)z)r;", labels));
+  for (uint64_t seed = 0; seed < 3; ++seed) {
+    probes.push_back(YuleTree(seed, 40 + 30 * static_cast<int32_t>(seed), 15,
+                              labels));
+  }
+  probes.push_back(YuleTree(7, 1500, 300, labels));
+  return probes;
+}
+
+void ExpectOneShotMatchesFreshScratch(const std::vector<Tree>& probes,
+                                      const std::string& after) {
+  for (int twice_maxdist : {1, 3, 4}) {
+    MiningOptions opt;
+    opt.twice_maxdist = twice_maxdist;
+    for (size_t i = 0; i < probes.size(); ++i) {
+      const std::vector<CousinPairItem> fresh =
+          FreshScratchItems(probes[i], opt);
+      EXPECT_EQ(MineSingleTree(probes[i], opt), fresh)
+          << "after " << after << ", probe " << i
+          << ", twice_maxdist=" << twice_maxdist;
+      std::vector<CousinPairItem> unordered =
+          MineSingleTreeUnordered(probes[i], opt);
+      CanonicalizeItems(&unordered);
+      EXPECT_EQ(unordered, fresh) << "after " << after << ", probe " << i;
+    }
+  }
+}
+
+/// Restores the auto dispatch mode when a test scope ends.
+struct SimdModeGuard {
+  ~SimdModeGuard() { SetSimdMode(SimdMode::kAuto); }
+};
+
+TEST(OneShotScratchTest, GovernedTripsLeaveNoResidue) {
+  SimdModeGuard guard;
+  auto labels = std::make_shared<LabelTable>();
+  const Tree large = YuleTree(11, 4000, 400, labels);
+  const std::vector<Tree> probes = ProbeTrees(labels);
+  MiningOptions opt;
+  opt.twice_maxdist = 4;
+  for (SimdMode mode : {SimdMode::kScalar, SimdMode::kAuto}) {
+    SetSimdMode(mode);
+    const std::string tier = SimdModeName(mode);
+
+    MiningContext expired;
+    expired.set_timeout(std::chrono::milliseconds(0));
+    SingleTreeMiningRun tripped =
+        MineSingleTreeGoverned(large, opt, expired);
+    ASSERT_TRUE(tripped.truncated) << tier;
+    EXPECT_EQ(tripped.termination.code(), StatusCode::kDeadlineExceeded);
+    ExpectOneShotMatchesFreshScratch(probes, tier + " deadline trip");
+
+    // An item cap trips at emit, with most accumulated cells still
+    // un-drained.
+    ResourceBudget budget;
+    budget.max_items = 10;
+    MiningContext capped;
+    capped.set_budget(budget);
+    tripped = MineSingleTreeGoverned(large, opt, capped);
+    ASSERT_TRUE(tripped.truncated) << tier;
+    EXPECT_EQ(tripped.termination.code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(tripped.items.size(), 10u);
+    ExpectOneShotMatchesFreshScratch(probes, tier + " item-cap trip");
+    EXPECT_EQ(MineSingleTree(large, opt), FreshScratchItems(large, opt))
+        << tier;
+  }
+}
+
+TEST(OneShotScratchTest, HashFallbackTreeLeavesNoResidue) {
+  auto labels = std::make_shared<LabelTable>();
+  // A 1,000,000-taxon alphabet gives the tree more than 1,024 distinct
+  // labels, past the dense tier's ceiling.
+  const Tree wide = YuleTree(1024, 2200, 1000000, labels);
+  int32_t distinct = 0;
+  {
+    std::vector<bool> seen(labels->size(), false);
+    for (NodeId v = 0; v < wide.size(); ++v) {
+      if (wide.has_label(v) && !seen[wide.label(v)]) {
+        seen[wide.label(v)] = true;
+        ++distinct;
+      }
+    }
+  }
+  ASSERT_GT(distinct, 1024);
+  MiningOptions opt;
+  opt.twice_maxdist = 3;
+  EXPECT_EQ(MineSingleTree(wide, opt), FreshScratchItems(wide, opt));
+  ExpectOneShotMatchesFreshScratch(ProbeTrees(labels), "hash fallback");
+}
+
+TEST(OneShotScratchTest, AnotherLabelTableLeavesNoResidue) {
+  auto big_table = std::make_shared<LabelTable>();
+  const Tree many_labels = YuleTree(5, 1800, 900, big_table);
+  MiningOptions opt;
+  opt.twice_maxdist = 3;
+  EXPECT_EQ(MineSingleTree(many_labels, opt),
+            FreshScratchItems(many_labels, opt));
+  // The next table reuses the low label ids the first one assigned.
+  ExpectOneShotMatchesFreshScratch(
+      ProbeTrees(std::make_shared<LabelTable>()), "another label table");
+  EXPECT_EQ(MineSingleTree(many_labels, opt),
+            FreshScratchItems(many_labels, opt));
+}
+
+TEST(OneShotScratchTest, SimdModeSwitchLeavesNoResidue) {
+  SimdModeGuard guard;
+  auto labels = std::make_shared<LabelTable>();
+  const std::vector<Tree> probes = ProbeTrees(labels);
+  for (SimdMode mode : {SimdMode::kAuto, SimdMode::kScalar, SimdMode::kAvx2,
+                        SimdMode::kAuto}) {
+    SetSimdMode(mode);
+    ExpectOneShotMatchesFreshScratch(
+        probes, std::string("switch to ") + SimdModeName(mode));
+  }
+}
+
+TEST(OneShotScratchTest, ConcurrentCallersMatchSequentialResults) {
+  auto labels = std::make_shared<LabelTable>();
+  std::vector<Tree> trees = ProbeTrees(labels);
+  trees.push_back(YuleTree(1024, 1600, 1000000, labels));  // hash path
+  const MiningOptions opt;
+  std::vector<std::vector<CousinPairItem>> items;
+  std::vector<std::vector<CousinPairItem>> profiles;
+  for (const Tree& tree : trees) {
+    items.push_back(MineSingleTree(tree, opt));
+    profiles.push_back(
+        CousinProfile(tree, CousinItemAbstraction::kDistance, opt));
+  }
+
+  constexpr int kThreads = 4;
+  constexpr int kPasses = 3;
+  const size_t n = trees.size();
+  std::vector<std::vector<std::vector<CousinPairItem>>> got_items(kThreads);
+  std::vector<std::vector<std::vector<CousinPairItem>>> got_profiles(
+      kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread starts at another tree, so the threads' scratches
+      // hold different trees at any moment.
+      for (int pass = 0; pass < kPasses; ++pass) {
+        for (size_t k = 0; k < n; ++k) {
+          const Tree& tree = trees[(k + static_cast<size_t>(t)) % n];
+          got_items[t].push_back(MineSingleTree(tree, opt));
+          got_profiles[t].push_back(
+              CousinProfile(tree, CousinItemAbstraction::kDistance, opt));
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got_items[t].size(), kPasses * n);
+    for (size_t call = 0; call < kPasses * n; ++call) {
+      const size_t tree = (call % n + static_cast<size_t>(t)) % n;
+      EXPECT_EQ(got_items[t][call], items[tree])
+          << "thread " << t << ", call " << call;
+      EXPECT_EQ(got_profiles[t][call], profiles[tree])
+          << "thread " << t << ", call " << call;
     }
   }
 }

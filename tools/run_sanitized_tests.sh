@@ -14,7 +14,9 @@
 # admission), the daemon fault sweep, the work-stealing driver, the
 # parallel miner, every variant through the threaded and checkpointed
 # drivers (variant pipeline) and the watchdog and lenient paths
-# (degraded mining). halt_on_error makes any report fail the lane.
+# (degraded mining), and the per-thread scratch of one-shot mining
+# (single-tree mining, Eq. 5 scoring). halt_on_error makes any report
+# fail the lane.
 
 set -euo pipefail
 
@@ -25,7 +27,7 @@ lanes=("${@:-address undefined}")
 
 thread_tests=(svc_test fault_sweep_test work_stealing_test
               parallel_mining_test variant_pipeline_test
-              degraded_mining_test)
+              degraded_mining_test similarity_test single_mining_test)
 
 for lane in "${lanes[@]}"; do
   build="$repo/build-${lane/,/-}san"
